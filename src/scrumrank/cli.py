@@ -42,7 +42,6 @@ from .model import (
     Parameters,
     TryModel,
     VariantConfig,
-    VariantParameters,
     interpret_structural,
 )
 from .rank import (
@@ -110,31 +109,13 @@ def _load_parameters_file(path: str):
     if "parameters" in doc:
         model = FittedModel.from_json(text)
         return model.parameters, model.variant, model.points_system
-    required = ("rho_n", "rho_d", "tau_b", "tau_z", "kappa")
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ValueError(f"{path}: schema error, missing "
-                         f"{', '.join(missing)}")
-    extras = None
-    if doc.get("extras") is not None:
-        e = doc["extras"]
-        extras = VariantParameters(
-            tau=e.get("tau"), delta=e.get("delta"),
-            home_strengths=e.get("home_strengths"),
-            away_strengths=e.get("away_strengths"),
-        )
-    params = Parameters(
-        strengths=doc.get("strengths") or {},
-        rho_n=doc["rho_n"], rho_d=doc["rho_d"],
-        tau_b=doc["tau_b"], tau_z=doc["tau_z"], kappa=doc["kappa"],
-        extras=extras,
-    )
+    try:
+        params = Parameters.from_dict(doc)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
     variant = None
     if "variant" in doc:
-        variant = VariantConfig(
-            try_model=TryModel(doc["variant"]["try_model"]),
-            home_model=HomeModel(doc["variant"]["home_model"]),
-        )
+        variant = VariantConfig.from_dict(doc["variant"])
     return params, variant, None
 
 

@@ -50,6 +50,7 @@ from .model import (
     TryModel,
     VariantConfig,
     VariantParameters,
+    log_cell_weights,
     normalize_parameters,
     result_block,
     try_block,
@@ -177,7 +178,6 @@ class _Problem:
         self.points = points
         self.team_specific = variant.home_model is HomeModel.TEAM_SPECIFIC
         self.off_def = variant.try_model is TryModel.OFFENSIVE_DEFENSIVE
-        self.use_kappa = variant.home_model is HomeModel.SINGLE_KAPPA
         names = _structural_names(variant)
         freeze = dict(freeze or {})
         unknown = set(freeze) - set(names)
@@ -332,19 +332,11 @@ class _Problem:
 
     def _log_weights(self, block: OutcomeBlock, alpha_home, alpha_away,
                      cdef, slog) -> np.ndarray:
-        ai = alpha_home[self.i_idx]
-        aj = alpha_away[self.j_idx]
-        lw = block.home_points[:, None] * ai[None, :] \
-            + block.away_points[:, None] * aj[None, :]
-        for name, exps in block.structural.items():
-            lw = lw + exps[:, None] * slog[name]
-        if self.use_kappa:
-            lw = lw + block.kappa_exp[:, None] \
-                * (slog["kappa"] * self.home_mask)[None, :]
-        if block.defence_exp is not None:
-            both = cdef[self.i_idx] + cdef[self.j_idx]
-            lw = lw + block.defence_exp[:, None] * both[None, :]
-        return lw
+        defence_sum = None if cdef is None \
+            else cdef[self.i_idx] + cdef[self.j_idx]
+        return log_cell_weights(block, alpha_home[self.i_idx],
+                                alpha_away[self.j_idx], slog,
+                                slog["kappa"] * self.home_mask, defence_sum)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         alpha_home, alpha_away, cdef, slog = self.unpack(x)
@@ -365,7 +357,7 @@ class _Problem:
             for name, exps in block.structural.items():
                 if name in g_struct:
                     g_struct[name] += float(exps @ resid.sum(axis=1))
-            if self.use_kappa and "kappa" in g_struct:
+            if "kappa" in g_struct:
                 g_struct["kappa"] += float(
                     (block.kappa_exp @ resid) @ self.home_mask)
             if block.defence_exp is not None:
@@ -623,34 +615,8 @@ class FittedModel:
     report: ConvergenceReport
 
     def to_json(self) -> str:
-        extras = self.parameters.extras
-
-        def params_dict(p: Parameters) -> dict:
-            out: dict = {
-                "strengths": dict(p.strengths),
-                "rho_n": p.rho_n, "rho_d": p.rho_d,
-                "tau_b": p.tau_b, "tau_z": p.tau_z, "kappa": p.kappa,
-                "log": {
-                    "rho_n": math.log(p.rho_n), "rho_d": math.log(p.rho_d),
-                    "tau_b": math.log(p.tau_b), "tau_z": math.log(p.tau_z),
-                    "kappa": math.log(p.kappa),
-                },
-            }
-            if p.extras is not None:
-                e = p.extras
-                out["extras"] = {
-                    "tau": e.tau,
-                    "delta": None if e.delta is None else dict(e.delta),
-                    "home_strengths": None if e.home_strengths is None
-                    else dict(e.home_strengths),
-                    "away_strengths": None if e.away_strengths is None
-                    else dict(e.away_strengths),
-                }
-            return out
-
         doc = {
-            "variant": {"try_model": self.variant.try_model.value,
-                        "home_model": self.variant.home_model.value},
+            "variant": self.variant.to_dict(),
             "prior": {"weight": self.prior.weight,
                       "dummy_strength": self.prior.dummy_strength},
             "points_system": {
@@ -660,8 +626,8 @@ class FittedModel:
                 "losing_bonus_margin": self.points_system.losing_bonus_margin,
                 "try_bonus_threshold": self.points_system.try_bonus_threshold,
             },
-            "parameters": params_dict(self.parameters),
-            "raw_parameters": params_dict(self.raw_parameters),
+            "parameters": self.parameters.to_dict(),
+            "raw_parameters": self.raw_parameters.to_dict(),
             "convergence": {
                 "iterations": self.report.iterations,
                 "final_gradient_norm": self.report.final_gradient_norm,
@@ -676,31 +642,11 @@ class FittedModel:
     def from_json(cls, text: str) -> "FittedModel":
         doc = json.loads(text)
 
-        def params_from(d: dict) -> Parameters:
-            extras = None
-            if d.get("extras") is not None:
-                e = d["extras"]
-                extras = VariantParameters(
-                    tau=e.get("tau"),
-                    delta=e.get("delta"),
-                    home_strengths=e.get("home_strengths"),
-                    away_strengths=e.get("away_strengths"),
-                )
-            return Parameters(
-                strengths=d["strengths"],
-                rho_n=d["rho_n"], rho_d=d["rho_d"],
-                tau_b=d["tau_b"], tau_z=d["tau_z"], kappa=d["kappa"],
-                extras=extras,
-            )
-
         conv = doc["convergence"]
         return cls(
-            parameters=params_from(doc["parameters"]),
-            raw_parameters=params_from(doc["raw_parameters"]),
-            variant=VariantConfig(
-                try_model=TryModel(doc["variant"]["try_model"]),
-                home_model=HomeModel(doc["variant"]["home_model"]),
-            ),
+            parameters=Parameters.from_dict(doc["parameters"]),
+            raw_parameters=Parameters.from_dict(doc["raw_parameters"]),
+            variant=VariantConfig.from_dict(doc["variant"]),
             prior=PriorConfig(**doc["prior"]),
             points_system=PointsSystem(**doc["points_system"]),
             report=ConvergenceReport(

@@ -21,16 +21,23 @@ Variants swap the try block (a single shared ``tau``, or per-team defensive
 strengths) or the home-advantage treatment (per-team home and away strengths
 instead of pi and kappa, or no home advantage at all).
 
-All probability evaluation happens in the log domain with a max-shifted
-normalization, so enormous strength ratios cannot overflow.
+One function, ``log_cell_weights``, builds the log cell weights of a block
+for a whole array of fixtures at once (cells x fixtures). The fit in
+``estimate``, ``outcome_distribution`` and ``expected_points`` here, PPPM in
+``rank`` and season sampling in ``simulate`` all go through it; named
+fixtures reach it through one mapping from ``Parameters`` to log arrays
+that covers all four variants. Probabilities are normalized in the log
+domain with a max shift per fixture, so enormous strength ratios cannot
+overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,10 +46,7 @@ from .domain import (
     RESULT_ORDER,
     TRY_ORDER,
     PointsSystem,
-    ResultOutcome,
-    TryOutcome,
     Venue,
-    league_points,
     result_points_arrays,
     try_points_arrays,
 )
@@ -50,15 +54,6 @@ from .domain import (
 
 class ParameterError(ValueError):
     """A parameter value outside its legal domain."""
-
-
-class WeightOverflowError(OverflowError):
-    """Level-form weights overflowed; evaluate probabilities instead.
-
-    The probability functions normalize in the log domain and never
-    overflow, so this only arises when raw weights are requested for
-    extreme parameter values.
-    """
 
 
 class TryModel(Enum):
@@ -88,6 +83,16 @@ class VariantConfig:
                 "opposition-dependent try block"
             )
 
+    def to_dict(self) -> dict:
+        """JSON form, as stored in fitted-model and parameters files."""
+        return {"try_model": self.try_model.value,
+                "home_model": self.home_model.value}
+
+    @classmethod
+    def from_dict(cls, doc: Mapping) -> "VariantConfig":
+        return cls(try_model=TryModel(doc["try_model"]),
+                   home_model=HomeModel(doc["home_model"]))
+
 
 DEFAULT_VARIANT = VariantConfig()
 
@@ -106,6 +111,10 @@ class VariantParameters:
     delta: Mapping[str, float] | None = None
     home_strengths: Mapping[str, float] | None = None
     away_strengths: Mapping[str, float] | None = None
+
+
+# the structural levels every parameter set carries, whatever the variant
+_LEVELS = ("rho_n", "rho_d", "tau_b", "tau_z", "kappa")
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,7 @@ class Parameters:
                 raise ParameterError(f"{name} must be positive and finite, "
                                      f"got {value!r}")
 
-        for name in ("rho_n", "rho_d", "tau_b", "tau_z", "kappa"):
+        for name in _LEVELS:
             _positive(name, getattr(self, name))
         if variant.home_model is HomeModel.TEAM_SPECIFIC:
             extras = self.extras
@@ -158,6 +167,31 @@ class Parameters:
             for team, value in self.extras.delta.items():
                 _positive(f"delta of {team}", value)
 
+    def to_dict(self) -> dict:
+        """JSON form: strengths, structural levels and their logs, and the
+        variant extras when present."""
+        doc: dict = {"strengths": dict(self.strengths)}
+        doc.update({name: getattr(self, name) for name in _LEVELS})
+        doc["log"] = {name: math.log(getattr(self, name)) for name in _LEVELS}
+        if self.extras is not None:
+            doc["extras"] = asdict(self.extras)
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: Mapping) -> "Parameters":
+        """Inverse of ``to_dict``; strengths may be absent (team-specific
+        variant) and the logs are not read back."""
+        missing = [name for name in _LEVELS if name not in doc]
+        if missing:
+            raise ValueError(f"schema error, missing {', '.join(missing)}")
+        extras = None
+        if doc.get("extras") is not None:
+            extras = VariantParameters(**{
+                f.name: doc["extras"].get(f.name)
+                for f in fields(VariantParameters)})
+        return cls(strengths=doc.get("strengths") or {},
+                   extras=extras, **{name: doc[name] for name in _LEVELS})
+
 
 @dataclass(frozen=True)
 class OutcomeBlock:
@@ -181,6 +215,9 @@ class OutcomeBlock:
         return len(self.outcomes)
 
 
+# Cached because every outcome_distribution call needs both blocks; one
+# block object is shared by all callers, so nothing may write to its arrays.
+@lru_cache(maxsize=None)
 def result_block(points: PointsSystem = DEFAULT_POINTS) -> OutcomeBlock:
     """Five-cell result block with narrow and draw propensities."""
     home, away = result_points_arrays(points)
@@ -191,6 +228,7 @@ def result_block(points: PointsSystem = DEFAULT_POINTS) -> OutcomeBlock:
     return OutcomeBlock(RESULT_ORDER, home, away, structural, home - away)
 
 
+@lru_cache(maxsize=None)
 def try_block(variant: VariantConfig = DEFAULT_VARIANT) -> OutcomeBlock:
     """Four-cell try block for the configured variant."""
     home, away = try_points_arrays()
@@ -213,70 +251,158 @@ def try_block(variant: VariantConfig = DEFAULT_VARIANT) -> OutcomeBlock:
                         defence_exp=1.0 - home - away)
 
 
-def block_log_weights(block: OutcomeBlock,
-                      log_pi_home: float, log_pi_away: float,
-                      log_structural: Mapping[str, float],
-                      log_kappa: float, at_home: bool,
-                      log_def_home: float = 0.0,
-                      log_def_away: float = 0.0) -> np.ndarray:
-    """Log cell weights for one fixture."""
-    lw = block.home_points * log_pi_home + block.away_points * log_pi_away
+def log_cell_weights(block: OutcomeBlock, log_pi_home: np.ndarray,
+                     log_pi_away: np.ndarray,
+                     log_structural: Mapping[str, float],
+                     log_kappa_home: np.ndarray,
+                     defence_sum: np.ndarray | None) -> np.ndarray:
+    """Log cell weights of one block, shaped cells x fixtures.
+
+    Every consumer of the model builds its weights here: the fit, fixture
+    probabilities, PPPM and simulation. The per-fixture arguments are
+    arrays: each side's log strength, log kappa times the home-ground mask
+    (zero at neutral grounds and in variants without a single kappa), and
+    the sum of both sides' log defensive strengths, read only by a block
+    with defence exponents.
+    """
+    lw = block.home_points[:, None] * log_pi_home[None, :] \
+        + block.away_points[:, None] * log_pi_away[None, :]
     for name, exps in block.structural.items():
-        lw = lw + exps * log_structural[name]
-    if at_home and log_kappa != 0.0:
-        lw = lw + block.kappa_exp * log_kappa
+        lw = lw + exps[:, None] * log_structural[name]
+    lw = lw + block.kappa_exp[:, None] * log_kappa_home[None, :]
     if block.defence_exp is not None:
-        lw = lw + block.defence_exp * (log_def_home + log_def_away)
+        lw = lw + block.defence_exp[:, None] * defence_sum[None, :]
     return lw
 
 
 def _normalize_log_weights(lw: np.ndarray) -> np.ndarray:
-    shifted = lw - lw.max()
-    weights = np.exp(shifted)
-    return weights / weights.sum()
+    weights = np.exp(lw - lw.max(axis=0))
+    return weights / weights.sum(axis=0)
 
 
-def _level_weights(lw: np.ndarray, context: str) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        weights = np.exp(lw)
-    if not np.all(np.isfinite(weights)):
-        raise WeightOverflowError(
-            f"{context} weights overflow at these parameter values; use the "
-            "probability functions, which normalize in the log domain"
-        )
-    return weights
+def _team_logs(values: Mapping[str, float], teams: Sequence[str]) -> np.ndarray:
+    # math.log rather than np.log: NumPy's SIMD log can differ in the last
+    # bit, and sampled seasons should not depend on the CPU's vector units
+    return np.array([math.log(values[team]) for team in teams], dtype=float)
 
 
-def _structural_logs(params: Parameters) -> dict[str, float]:
-    logs = {
-        "rho_n": math.log(params.rho_n),
-        "rho_d": math.log(params.rho_d),
-        "tau_b": math.log(params.tau_b),
-        "tau_z": math.log(params.tau_z),
-    }
+def _kernel_arguments(params: Parameters, home: Sequence[str],
+                      away: Sequence[str], venue: Sequence[Venue],
+                      variant: VariantConfig) -> tuple:
+    """Map parameters onto ``log_cell_weights``'s per-fixture arguments.
+
+    Team-specific home advantage reads each side's strength from its own
+    table; only the single-kappa variant applies kappa.
+    """
+    if variant.home_model is HomeModel.TEAM_SPECIFIC:
+        home_side = params.extras.home_strengths
+        away_side = params.extras.away_strengths
+    else:
+        home_side = away_side = params.strengths
+    log_structural = {name: math.log(getattr(params, name))
+                      for name in ("rho_n", "rho_d", "tau_b", "tau_z")}
     if params.extras is not None and params.extras.tau is not None:
-        logs["tau"] = math.log(params.extras.tau)
-    return logs
+        log_structural["tau"] = math.log(params.extras.tau)
+    log_kappa = 0.0
+    if variant.home_model is HomeModel.SINGLE_KAPPA:
+        log_kappa = math.log(params.kappa)
+    at_home = np.array([v is Venue.HOME_GROUND for v in venue], dtype=float)
+    defence_sum = None
+    if variant.try_model is TryModel.OFFENSIVE_DEFENSIVE:
+        defence_sum = (_team_logs(params.extras.delta, home)
+                       + _team_logs(params.extras.delta, away))
+    return (_team_logs(home_side, home), _team_logs(away_side, away),
+            log_structural, log_kappa * at_home, defence_sum)
 
 
-def result_weights(pi_home: float, pi_away: float, params: Parameters,
-                   at_home: bool = True,
-                   points: PointsSystem = DEFAULT_POINTS) -> np.ndarray:
-    """Unnormalized result-cell weights in RESULT_ORDER."""
-    lw = block_log_weights(result_block(points), math.log(pi_home),
-                           math.log(pi_away), _structural_logs(params),
-                           math.log(params.kappa), at_home)
-    return _level_weights(lw, "result")
+@dataclass(frozen=True)
+class OutcomeDistribution:
+    """Result and try probabilities for one fixture (cell vectors) or for
+    many (cells x fixtures arrays)."""
+
+    result: np.ndarray
+    tries: np.ndarray
+
+    def joint(self) -> np.ndarray:
+        """5 x 4 (x fixtures) joint probabilities; the blocks are
+        independent."""
+        return self.result[:, None] * self.tries[None, :]
+
+    def validate(self, tol: float = 1e-12):
+        for name, probs in (("result", self.result), ("try", self.tries)):
+            if np.abs(probs.sum(axis=0) - 1.0).max() > tol \
+                    or (probs < 0).any():
+                raise ValueError(f"{name} probabilities are not a distribution")
+
+
+def outcome_distribution(params: Parameters, home: str | Sequence[str],
+                         away: str | Sequence[str],
+                         variant: VariantConfig = DEFAULT_VARIANT,
+                         venue: Venue | Sequence[Venue] = Venue.HOME_GROUND,
+                         points: PointsSystem = DEFAULT_POINTS
+                         ) -> OutcomeDistribution:
+    """Outcome distribution for one named fixture or for many.
+
+    ``home`` and ``away`` are team names or equal-length sequences of
+    them; ``venue`` is one Venue for every fixture or a sequence. A single
+    fixture gives cell vectors, sequences give cells x fixtures arrays.
+    """
+    single = isinstance(home, str)
+    if single:
+        home, away = [home], [away]
+    if isinstance(venue, Venue):
+        venue = [venue] * len(home)
+    if not len(home) == len(away) == len(venue):
+        raise ValueError("home teams, away teams and venues must match in "
+                         "length")
+    args = _kernel_arguments(params, home, away, venue, variant)
+    result = _normalize_log_weights(
+        log_cell_weights(result_block(points), *args))
+    tries = _normalize_log_weights(log_cell_weights(try_block(variant), *args))
+    if single:
+        return OutcomeDistribution(result[:, 0], tries[:, 0])
+    return OutcomeDistribution(result, tries)
+
+
+def expected_points(params: Parameters, home: str | Sequence[str],
+                    away: str | Sequence[str],
+                    variant: VariantConfig = DEFAULT_VARIANT,
+                    venue: Venue | Sequence[Venue] = Venue.HOME_GROUND,
+                    points: PointsSystem = DEFAULT_POINTS):
+    """Expected league points (home, away) for named fixtures.
+
+    Takes fixtures as ``outcome_distribution`` does; returns two floats
+    for one fixture and two arrays over fixtures for sequences.
+    """
+    dist = outcome_distribution(params, home, away, variant, venue, points)
+    res_home, res_away = result_points_arrays(points)
+    try_home, try_away = try_points_arrays()
+    home_exp = res_home @ dist.result + try_home @ dist.tries
+    away_exp = res_away @ dist.result + try_away @ dist.tries
+    if isinstance(home, str):
+        return float(home_exp), float(away_exp)
+    return home_exp, away_exp
+
+
+def _pair(params: Parameters, pi_home: float, pi_away: float,
+          defence_home: float | None = None,
+          defence_away: float | None = None) -> Parameters:
+    """``params`` with teams "home" and "away" at the given strengths, in
+    every variant's strength tables."""
+    sides = {"home": pi_home, "away": pi_away}
+    extras = replace(params.extras or VariantParameters(),
+                     home_strengths=sides, away_strengths=sides,
+                     delta={"home": defence_home, "away": defence_away})
+    return replace(params, strengths=sides, extras=extras)
 
 
 def result_probs(pi_home: float, pi_away: float, params: Parameters,
                  at_home: bool = True,
                  points: PointsSystem = DEFAULT_POINTS) -> np.ndarray:
     """Result-cell probabilities in RESULT_ORDER."""
-    lw = block_log_weights(result_block(points), math.log(pi_home),
-                           math.log(pi_away), _structural_logs(params),
-                           math.log(params.kappa), at_home)
-    return _normalize_log_weights(lw)
+    venue = Venue.HOME_GROUND if at_home else Venue.NEUTRAL
+    return outcome_distribution(_pair(params, pi_home, pi_away), "home",
+                                "away", venue=venue, points=points).result
 
 
 def try_probs(pi_home: float, pi_away: float, params: Parameters,
@@ -285,81 +411,13 @@ def try_probs(pi_home: float, pi_away: float, params: Parameters,
               defence_home: float | None = None,
               defence_away: float | None = None) -> np.ndarray:
     """Try-cell probabilities in TRY_ORDER."""
-    log_def_home = log_def_away = 0.0
-    if variant.try_model is TryModel.OFFENSIVE_DEFENSIVE:
-        if defence_home is None or defence_away is None:
-            raise ParameterError("offensive-defensive try probabilities need "
-                                 "both defensive strengths")
-        log_def_home = math.log(defence_home)
-        log_def_away = math.log(defence_away)
-    log_kappa = 0.0
-    if variant.home_model is HomeModel.SINGLE_KAPPA:
-        log_kappa = math.log(params.kappa)
-    lw = block_log_weights(try_block(variant), math.log(pi_home),
-                           math.log(pi_away), _structural_logs(params),
-                           log_kappa, at_home, log_def_home, log_def_away)
-    return _normalize_log_weights(lw)
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Result and try probabilities for one fixture."""
-
-    result: np.ndarray
-    tries: np.ndarray
-
-    def joint(self) -> np.ndarray:
-        """5 x 4 joint probabilities; the two blocks are independent."""
-        return np.outer(self.result, self.tries)
-
-    def validate(self, tol: float = 1e-12):
-        for name, probs in (("result", self.result), ("try", self.tries)):
-            if abs(probs.sum() - 1.0) > tol or (probs < 0).any():
-                raise ValueError(f"{name} probabilities are not a distribution")
-
-
-def _side_strengths(params: Parameters, home: str, away: str,
-                    variant: VariantConfig) -> tuple[float, float]:
-    if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        return (params.extras.home_strengths[home],
-                params.extras.away_strengths[away])
-    return params.strengths[home], params.strengths[away]
-
-
-def outcome_distribution(params: Parameters, home: str, away: str,
-                         variant: VariantConfig = DEFAULT_VARIANT,
-                         venue: Venue = Venue.HOME_GROUND,
-                         points: PointsSystem = DEFAULT_POINTS
-                         ) -> OutcomeDistribution:
-    """Outcome distribution for a named fixture."""
-    pi_home, pi_away = _side_strengths(params, home, away, variant)
-    at_home = venue is Venue.HOME_GROUND
-    effective = params
-    if variant.home_model is not HomeModel.SINGLE_KAPPA:
-        effective = replace(params, kappa=1.0)
-    defence_home = defence_away = None
-    if variant.try_model is TryModel.OFFENSIVE_DEFENSIVE:
-        defence_home = params.extras.delta[home]
-        defence_away = params.extras.delta[away]
-    return OutcomeDistribution(
-        result=result_probs(pi_home, pi_away, effective, at_home, points),
-        tries=try_probs(pi_home, pi_away, effective, at_home, variant,
-                        defence_home, defence_away),
-    )
-
-
-def expected_points(params: Parameters, home: str, away: str,
-                    variant: VariantConfig = DEFAULT_VARIANT,
-                    venue: Venue = Venue.HOME_GROUND,
-                    points: PointsSystem = DEFAULT_POINTS
-                    ) -> tuple[float, float]:
-    """Expected league points (home, away) for a named fixture."""
-    dist = outcome_distribution(params, home, away, variant, venue, points)
-    res_home, res_away = result_points_arrays(points)
-    try_home, try_away = try_points_arrays()
-    home_exp = dist.result @ res_home + dist.tries @ try_home
-    away_exp = dist.result @ res_away + dist.tries @ try_away
-    return float(home_exp), float(away_exp)
+    if variant.try_model is TryModel.OFFENSIVE_DEFENSIVE and (
+            defence_home is None or defence_away is None):
+        raise ParameterError("offensive-defensive try probabilities need "
+                             "both defensive strengths")
+    pair = _pair(params, pi_home, pi_away, defence_home, defence_away)
+    venue = Venue.HOME_GROUND if at_home else Venue.NEUTRAL
+    return outcome_distribution(pair, "home", "away", variant, venue).tries
 
 
 @dataclass(frozen=True)
@@ -382,10 +440,7 @@ class StructuralInterpretation:
     neutral: OutcomeRates
 
 
-def _rates(params: Parameters, at_home: bool,
-           points: PointsSystem) -> OutcomeRates:
-    rp = result_probs(1.0, 1.0, params, at_home, points)
-    tp = try_probs(1.0, 1.0, params, at_home)
+def _rates(rp: np.ndarray, tp: np.ndarray) -> OutcomeRates:
     home_win = rp[0] + rp[1]
     away_win = rp[3] + rp[4]
     return OutcomeRates(
@@ -407,9 +462,13 @@ def interpret_structural(params: Parameters,
     for a neutral fixture, because the narrow/draw/bonus shares shift
     slightly once kappa is in play.
     """
+    dist = outcome_distribution(_pair(params, 1.0, 1.0), ["home"] * 2,
+                                ["away"] * 2,
+                                venue=[Venue.HOME_GROUND, Venue.NEUTRAL],
+                                points=points)
     return StructuralInterpretation(
-        with_home_advantage=_rates(params, True, points),
-        neutral=_rates(params, False, points),
+        with_home_advantage=_rates(dist.result[:, 0], dist.tries[:, 0]),
+        neutral=_rates(dist.result[:, 1], dist.tries[:, 1]),
     )
 
 
@@ -533,11 +592,3 @@ def normalize_parameters(params: Parameters,
         c = solve_scale(params.strengths)
     return gauge_transform(params, c)
 
-
-def joint_outcome_points(points: PointsSystem = DEFAULT_POINTS):
-    """League points for every (result, try) pair, for enumeration."""
-    table = {}
-    for result in RESULT_ORDER:
-        for tries in TRY_ORDER:
-            table[(result, tries)] = league_points(result, tries, points)
-    return table

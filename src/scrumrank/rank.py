@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .domain import (
     DEFAULT_POINTS,
     MatchRecord,
@@ -151,21 +153,19 @@ def pppm(source: FittedModel | Parameters, *,
         teams = sorted(params.strengths)
     if len(teams) < 2:
         raise ValueError("a rating needs at least two teams")
-    out: dict[str, float] = {}
-    for team in teams:
-        total = 0.0
-        for other in teams:
-            if other == team:
-                continue
-            at_home, _ = expected_points(params, team, other, variant=variant,
-                                         venue=Venue.HOME_GROUND,
-                                         points=points)
-            _, on_road = expected_points(params, other, team, variant=variant,
-                                         venue=Venue.HOME_GROUND,
-                                         points=points)
-            total += at_home + on_road
-        out[team] = total / (2 * (len(teams) - 1))
-    return out
+    m = len(teams)
+    totals = np.zeros(m)
+    for k, team in enumerate(teams):
+        # one call per home team: its home leg against every other team
+        others = teams[:k] + teams[k + 1:]
+        at_home, on_road = expected_points(params, [team] * (m - 1), others,
+                                           variant=variant,
+                                           venue=Venue.HOME_GROUND,
+                                           points=points)
+        totals[k] += at_home.sum()
+        totals[np.arange(m) != k] += on_road
+    return {team: float(total) / (2 * (m - 1))
+            for team, total in zip(teams, totals)}
 
 
 def previous_rank_band(rank: int | None) -> int:

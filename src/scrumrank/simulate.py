@@ -126,6 +126,13 @@ def _sample_cell(probs: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
 
 
+def _draw(result_probs: np.ndarray, try_probs: np.ndarray,
+          rng: np.random.Generator) -> tuple[ResultOutcome, TryOutcome]:
+    u_result, u_tries = rng.random(2)
+    return (RESULT_ORDER[_sample_cell(result_probs, u_result)],
+            TRY_ORDER[_sample_cell(try_probs, u_tries)])
+
+
 def sample_match(params: Parameters, fixture: Fixture,
                  rng: np.random.Generator,
                  variant: VariantConfig = DEFAULT_VARIANT,
@@ -135,20 +142,26 @@ def sample_match(params: Parameters, fixture: Fixture,
     dist = outcome_distribution(params, fixture.home_team, fixture.away_team,
                                 variant=variant, venue=fixture.venue,
                                 points=points)
-    u_result, u_tries = rng.random(2)
-    return (RESULT_ORDER[_sample_cell(dist.result, u_result)],
-            TRY_ORDER[_sample_cell(dist.tries, u_tries)])
+    return _draw(dist.result, dist.tries, rng)
 
 
 def simulate_season(params: Parameters, fixtures: Sequence[Fixture],
                     seed: int, replicate: int = 0,
                     variant: VariantConfig = DEFAULT_VARIANT,
                     points: PointsSystem = DEFAULT_POINTS) -> OutcomeCounts:
-    """Sample every fixture once and tabulate the outcomes."""
+    """Sample every fixture once and tabulate the outcomes.
+
+    The probabilities of the whole season come from one model call; each
+    fixture is then drawn from its own stream exactly as ``sample_match``
+    draws it.
+    """
+    dist = outcome_distribution(params, [f.home_team for f in fixtures],
+                                [f.away_team for f in fixtures], variant,
+                                [f.venue for f in fixtures], points)
     counts = OutcomeCounts()
     for index, fixture in enumerate(fixtures):
-        rng = fixture_rng(seed, replicate, index)
-        result, tries = sample_match(params, fixture, rng, variant, points)
+        result, tries = _draw(dist.result[:, index], dist.tries[:, index],
+                              fixture_rng(seed, replicate, index))
         counts.add(fixture.home_team, fixture.away_team, fixture.venue,
                    result, tries)
     return counts

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from scrumrank.cli import main
+from scrumrank.cli import _load_parameters_file, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -273,6 +273,19 @@ def test_simulate_accepts_fitted_model_as_truth(tmp_path):
                  str(tmp_path / "report.csv"), "--replicates", "1",
                  "--prior-weight", "2.0"])
     assert code == 0
+
+
+def test_bare_and_fitted_parameter_files_load_alike(tmp_path):
+    for variant in ("opposition-dependent", "team-specific"):
+        _, model = _fit_model(tmp_path, "--variant", variant)
+        fitted = json.loads(model.read_text())
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({**fitted["parameters"],
+                                    "variant": fitted["variant"]}))
+        from_model, model_variant, _ = _load_parameters_file(str(model))
+        from_bare, bare_variant, _ = _load_parameters_file(str(bare))
+        assert from_bare == from_model
+        assert bare_variant == model_variant
 
 
 def test_interpret_prints_rates(tmp_path, capsys):

@@ -1,16 +1,17 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from scrumrank.cli import VARIANTS
 from scrumrank.domain import (
     RESULT_ORDER,
     TRY_ORDER,
     PointsSystem,
     Venue,
-    result_points_arrays,
-    try_points_arrays,
+    league_points,
 )
 from scrumrank.model import (
     DEFAULT_VARIANT,
@@ -21,17 +22,16 @@ from scrumrank.model import (
     TryModel,
     VariantConfig,
     VariantParameters,
-    WeightOverflowError,
     arithmetic_normalize,
     expected_points,
     gauge_transform,
     generalized_mean,
     interpret_structural,
-    joint_outcome_points,
+    log_cell_weights,
     normalize_parameters,
     outcome_distribution,
+    result_block,
     result_probs,
-    result_weights,
     solve_scale,
     try_probs,
 )
@@ -72,6 +72,15 @@ def _random_params(rng, teams=("A", "B"), variant=DEFAULT_VARIANT):
     )
 
 
+def _result_log_weights(pi_i, pi_j, params):
+    """Kernel log weights of the result block for one home fixture."""
+    logs = {name: math.log(getattr(params, name))
+            for name in ("rho_n", "rho_d")}
+    return log_cell_weights(result_block(), np.array([math.log(pi_i)]),
+                            np.array([math.log(pi_j)]), logs,
+                            np.array([math.log(params.kappa)]), None)[:, 0]
+
+
 def test_result_probs_form_a_distribution():
     params = _params({"A": 1.4, "B": 0.8})
     probs = result_probs(1.4, 0.8, params)
@@ -102,8 +111,8 @@ def test_result_probs_match_direct_weight_ratios():
     expected = weights / weights.sum()
     got = result_probs(pi_i, pi_j, params)
     assert np.allclose(got, expected, rtol=1e-12, atol=0)
-    level = result_weights(pi_i, pi_j, params)
-    assert np.allclose(level / level.sum(), expected, rtol=1e-12, atol=0)
+    level = np.exp(_result_log_weights(pi_i, pi_j, params))
+    assert np.allclose(level, weights, rtol=1e-12, atol=0)
 
 
 def test_try_probs_match_direct_weight_ratios():
@@ -137,8 +146,11 @@ def test_probabilities_never_overflow_but_weights_can():
     # both home-win cells keep the pi_i^4 factor, so it is their sum
     # that approaches 1; their ratio stays rho_n * pi_j / kappa
     assert probs[0] + probs[1] > 0.999
-    with pytest.raises(WeightOverflowError):
-        result_weights(1e120, 1.0, params)
+    # the log weights stay finite; exponentiating them would not
+    log_weights = _result_log_weights(1e120, 1.0, params)
+    assert np.isfinite(log_weights).all()
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(log_weights)).any()
 
 
 def test_stronger_home_team_shifts_mass_to_wide_win():
@@ -152,12 +164,11 @@ def test_stronger_home_team_shifts_mass_to_wide_win():
 def test_expected_points_matches_joint_enumeration():
     params = _params({"A": 1.6, "B": 0.7})
     dist = outcome_distribution(params, "A", "B")
-    table = joint_outcome_points()
     joint = dist.joint()
     want_home = want_away = 0.0
     for r, result in enumerate(RESULT_ORDER):
         for t, tries in enumerate(TRY_ORDER):
-            home_pts, away_pts = table[(result, tries)]
+            home_pts, away_pts = league_points(result, tries)
             want_home += joint[r, t] * home_pts
             want_away += joint[r, t] * away_pts
     got_home, got_away = expected_points(params, "A", "B")
@@ -364,3 +375,50 @@ def test_custom_points_system_changes_exponents():
     default_probs = result_probs(2.0, 0.5, params)
     custom_probs = result_probs(2.0, 0.5, params, points=points)
     assert not np.allclose(default_probs, custom_probs)
+
+
+def test_fixture_sequences_match_single_fixtures_bit_for_bit():
+    rng = np.random.default_rng(808)
+    teams = ("A", "B", "C")
+    for variant in VARIANTS.values():
+        params = _random_params(rng, teams, variant)
+        home, away, venue = zip(*[(h, a, v) for h in teams for a in teams
+                                  if h != a for v in Venue])
+        dist = outcome_distribution(params, home, away, variant, venue)
+        assert dist.result.shape == (5, len(home))
+        dist.validate()
+        home_pts, away_pts = expected_points(params, home, away, variant,
+                                             venue)
+        for k in range(len(home)):
+            one = outcome_distribution(params, home[k], away[k], variant,
+                                       venue[k])
+            assert np.array_equal(dist.result[:, k], one.result)
+            assert np.array_equal(dist.tries[:, k], one.tries)
+            assert np.array_equal(dist.joint()[:, :, k], one.joint())
+            single = expected_points(params, home[k], away[k], variant,
+                                     venue[k])
+            assert abs(home_pts[k] - single[0]) < 1e-14
+            assert abs(away_pts[k] - single[1]) < 1e-14
+
+
+def test_fixture_sequences_must_match_in_length():
+    params = _params({"A": 1.0, "B": 1.0})
+    with pytest.raises(ValueError):
+        outcome_distribution(params, ["A", "B"], ["B"])
+    with pytest.raises(ValueError):
+        outcome_distribution(params, ["A"], ["B"],
+                             venue=[Venue.HOME_GROUND, Venue.NEUTRAL])
+
+
+def test_parameters_and_variant_json_round_trip():
+    rng = np.random.default_rng(19)
+    for variant in VARIANTS.values():
+        params = _random_params(rng, ("A", "B"), variant)
+        doc = json.loads(json.dumps(params.to_dict()))
+        assert Parameters.from_dict(doc) == params
+        assert doc["log"]["kappa"] == math.log(params.kappa)
+        assert VariantConfig.from_dict(
+            json.loads(json.dumps(variant.to_dict()))) == variant
+    with pytest.raises(ValueError, match="missing kappa"):
+        Parameters.from_dict({"strengths": {}, "rho_n": 1.0, "rho_d": 1.0,
+                              "tau_b": 1.0, "tau_z": 1.0})

@@ -4,10 +4,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from scrumrank.domain import MatchRecord, outcome_counts
+from scrumrank.cli import VARIANTS
+from scrumrank.domain import MatchRecord, Venue, outcome_counts
 from scrumrank.estimate import FitConfig, PriorConfig, fit
 from scrumrank.ingest import load_matches
-from scrumrank.model import Parameters
+from scrumrank.model import Parameters, VariantParameters, expected_points
 from scrumrank.rank import (
     RankingTable,
     RankRow,
@@ -160,6 +161,33 @@ def test_pppm_accepts_a_fitted_model():
     direct = pppm(model.parameters, variant=model.variant,
                   points=model.points_system)
     assert pppm(model) == direct
+
+
+def test_pppm_is_the_double_round_robin_mean_in_every_variant():
+    rng = np.random.default_rng(31)
+    teams = [f"T{k}" for k in range(6)]
+
+    def draw(scale):
+        return {t: float(np.exp(rng.normal(0, scale))) for t in teams}
+
+    # one parameter set carrying every variant's extras
+    params = Parameters(
+        strengths=draw(0.6), kappa=1.113, **REFERENCE_MEANS,
+        extras=VariantParameters(tau=0.3, delta=draw(0.5),
+                                 home_strengths=draw(0.6),
+                                 away_strengths=draw(0.6)))
+    for name, variant in VARIANTS.items():
+        ratings = pppm(params, variant=variant)
+        for team in teams:
+            total = 0.0
+            for other in teams:
+                if other != team:
+                    total += expected_points(params, team, other, variant,
+                                             Venue.HOME_GROUND)[0]
+                    total += expected_points(params, other, team, variant,
+                                             Venue.HOME_GROUND)[1]
+            longhand = total / (2 * (len(teams) - 1))
+            assert abs(ratings[team] - longhand) <= 1e-12, (name, team)
 
 
 def test_build_table_marks_short_seasons_nr():

@@ -1,17 +1,22 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
+from scrumrank.cli import VARIANTS
 from scrumrank.domain import (
     RESULT_INDEX,
     RESULT_ORDER,
     TRY_INDEX,
     TRY_ORDER,
+    OutcomeCounts,
     ResultOutcome,
     TryOutcome,
     Venue,
 )
 from scrumrank.estimate import FitConfig, PriorConfig
-from scrumrank.model import Parameters, outcome_distribution
+from scrumrank.model import Parameters, VariantParameters, outcome_distribution
 from scrumrank.simulate import (
     Fixture,
     ReplicateResult,
@@ -25,6 +30,8 @@ from scrumrank.simulate import (
     simulate_season,
     write_fixtures_csv,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 REFERENCE_MEANS = dict(rho_n=0.448, rho_d=0.212, tau_b=0.042, tau_z=2.801)
 
@@ -186,6 +193,46 @@ def test_simulate_season_extension_preserves_earlier_fixtures():
         for i, f in enumerate(fixtures)
     ]
     assert per_fixture_full[:3] == per_fixture_short
+
+
+def test_simulate_season_equals_per_fixture_sample_match_draws():
+    # the season is one vectorized model call, but each fixture must be
+    # drawn from its own stream exactly as sample_match draws it
+    rng = np.random.default_rng(2024)
+    teams = ["A", "B", "C", "D"]
+
+    def draw(scale):
+        return {t: float(np.exp(rng.normal(0, scale))) for t in teams}
+
+    # one parameter set carrying every variant's extras
+    params = Parameters(
+        strengths=draw(0.7), kappa=1.113, **REFERENCE_MEANS,
+        extras=VariantParameters(tau=0.3, delta=draw(0.5),
+                                 home_strengths=draw(0.7),
+                                 away_strengths=draw(0.7)))
+    fixtures = [Fixture(f.home_team, f.away_team,
+                        Venue.NEUTRAL if k % 3 == 0 else Venue.HOME_GROUND)
+                for k, f in enumerate(double_round_robin(teams) * 3)]
+    for name, variant in VARIANTS.items():
+        counts = simulate_season(params, fixtures, seed=17, replicate=2,
+                                 variant=variant)
+        tally = OutcomeCounts()
+        for index, fixture in enumerate(fixtures):
+            result, tries = sample_match(params, fixture,
+                                         fixture_rng(17, 2, index), variant)
+            tally.add(fixture.home_team, fixture.away_team, fixture.venue,
+                      result, tries)
+        assert _counts_equal(counts, tally), name
+
+
+def test_golden_season_regenerates_byte_for_byte():
+    path = DATA / "generate_golden.py"
+    spec = importlib.util.spec_from_file_location("generate_golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    # seed 8 is the first seed the generator's constraints accept
+    rendered = golden.render(golden.synthesize(8)).encode("utf-8")
+    assert rendered == (DATA / "golden_season.csv").read_bytes()
 
 
 def test_strong_team_mostly_wins_wide():
