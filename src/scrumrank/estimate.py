@@ -19,9 +19,12 @@ so one log strength is pinned at zero during optimization; either way the
 reported parameters are gauge-rescaled afterwards so the generalized mean
 of the strengths is 1.
 
-The concave log likelihood is maximized by quasi-Newton (BFGS) ascent on
-the log parameters with exact gradients, starting from all log parameters
-at zero.
+The concave log likelihood is maximized by damped Newton ascent on the
+log parameters, starting from all log parameters at zero. The model is a
+log-linear exponential family, so the exact Hessian is minus each pair's
+count-weighted covariance of its local features under the same cell
+probabilities the gradient uses, plus the prior's diagonal. A handful of
+steps reach the gradient tolerance.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .domain import (
     DEFAULT_POINTS,
@@ -68,12 +69,21 @@ def _log_normalizer(lw: np.ndarray) -> np.ndarray:
     A column whose max is not finite is shifted by zero, so an all ``-inf``
     column gives ``-inf``. A plain NumPy reduction is used because this runs
     twice per likelihood evaluation on small blocks, where the per-call
-    overhead of ``scipy.special.logsumexp`` dominates the arithmetic.
+    overhead of a general-purpose log-sum-exp dominates the arithmetic.
     """
     top = lw.max(axis=0, initial=-np.inf)
     top[~np.isfinite(top)] = 0.0
     with np.errstate(divide="ignore"):
         return top + np.log(np.exp(lw - top).sum(axis=0))
+
+
+def _logistic(a: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-a))`` without overflow for large ``|a|``."""
+    return np.exp(-np.logaddexp(0.0, -a))
+
+
+def _max_norm(v: np.ndarray) -> float:
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -330,13 +340,23 @@ class _Problem:
 
     # ---- likelihood ----
 
-    def _log_weights(self, block: OutcomeBlock, alpha_home, alpha_away,
-                     cdef, slog) -> np.ndarray:
+    def _blocks(self, alpha_home, alpha_away, cdef, slog):
+        """Each block's data with its log weights, log normalizers and
+        cell probabilities, all shaped cells x pairs."""
         defence_sum = None if cdef is None \
             else cdef[self.i_idx] + cdef[self.j_idx]
-        return log_cell_weights(block, alpha_home[self.i_idx],
-                                alpha_away[self.j_idx], slog,
-                                slog["kappa"] * self.home_mask, defence_sum)
+        for block, obs, mvec in self.block_data:
+            lw = log_cell_weights(block, alpha_home[self.i_idx],
+                                  alpha_away[self.j_idx], slog,
+                                  slog["kappa"] * self.home_mask, defence_sum)
+            log_z = _log_normalizer(lw)
+            yield block, obs, mvec, lw, log_z, np.exp(lw - log_z[None, :])
+
+    def _strength_logs(self, alpha_home, alpha_away) -> np.ndarray:
+        """Every log strength in x's layout, the pinned one included."""
+        if self.team_specific:
+            return np.concatenate([alpha_home, alpha_away])
+        return alpha_home
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         alpha_home, alpha_away, cdef, slog = self.unpack(x)
@@ -346,14 +366,14 @@ class _Problem:
         g_struct = {name: 0.0 for name in self.free_structural}
         ga_home = g_strength[:self.m] if self.team_specific else g_strength
         ga_away = g_strength[self.m:] if self.team_specific else g_strength
-        for block, obs, mvec in self.block_data:
-            lw = self._log_weights(block, alpha_home, alpha_away, cdef, slog)
-            log_z = _log_normalizer(lw)
+        for block, obs, mvec, lw, log_z, probs in self._blocks(
+                alpha_home, alpha_away, cdef, slog):
             value += float((obs * lw).sum() - mvec @ log_z)
-            probs = np.exp(lw - log_z[None, :])
             resid = obs - mvec[None, :] * probs
-            np.add.at(ga_home, self.i_idx, block.home_points @ resid)
-            np.add.at(ga_away, self.j_idx, block.away_points @ resid)
+            ga_home += np.bincount(self.i_idx, block.home_points @ resid,
+                                   self.m)
+            ga_away += np.bincount(self.j_idx, block.away_points @ resid,
+                                   self.m)
             for name, exps in block.structural.items():
                 if name in g_struct:
                     g_struct[name] += float(exps @ resid.sum(axis=1))
@@ -362,14 +382,13 @@ class _Problem:
                     (block.kappa_exp @ resid) @ self.home_mask)
             if block.defence_exp is not None:
                 per_pair = block.defence_exp @ resid
-                np.add.at(g_def, self.i_idx, per_pair)
-                np.add.at(g_def, self.j_idx, per_pair)
+                g_def += np.bincount(self.i_idx, per_pair, self.m)
+                g_def += np.bincount(self.j_idx, per_pair, self.m)
         if self.w > 0:
-            for alpha, grad in self._prior_groups(alpha_home, alpha_away,
-                                                  ga_home, ga_away):
-                value += float(self.w * (alpha - 2.0
-                                         * np.logaddexp(0.0, alpha)).sum())
-                grad += self.w * (1.0 - 2.0 * expit(alpha))
+            alpha = self._strength_logs(alpha_home, alpha_away)
+            value += float(self.w * (alpha - 2.0
+                                     * np.logaddexp(0.0, alpha)).sum())
+            g_strength += self.w * (1.0 - 2.0 * _logistic(alpha))
         g = np.concatenate([
             g_strength[self.pinned:],
             g_def if self.off_def else np.zeros(0),
@@ -377,10 +396,65 @@ class _Problem:
         ])
         return value, g
 
-    def _prior_groups(self, alpha_home, alpha_away, ga_home, ga_away):
-        if self.team_specific:
-            return ((alpha_home, ga_home), (alpha_away, ga_away))
-        return ((alpha_home, ga_home),)
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """Exact Hessian of ``value_and_grad``'s value over ``x``.
+
+        A block's log weights for one pair are linear in a few local
+        features: each side's log strength, both log defences, the free
+        structural logs and log kappa on home grounds. Its Hessian is minus
+        the count-weighted covariance of those features under the pair's
+        cell probabilities. The per-pair blocks are scattered into the
+        dense matrix with one bincount; the prior adds its diagonal.
+        """
+        n = self.n_free
+        alpha_home, alpha_away, cdef, slog = self.unpack(x)
+        strength = np.arange(self.n_strength) - self.pinned  # pinned: -1
+        home_pos = strength[:self.m]
+        away_pos = strength[self.m:] if self.team_specific else home_pos
+        base = self.n_strength - self.pinned
+        def_pos = base + np.arange(self.m)
+        struct_pos = {name: base + self.n_def + k
+                      for k, name in enumerate(self.free_structural)}
+        pairs = len(self.i_idx)
+        ones = np.ones(pairs)
+        flat_parts, weight_parts = [], []
+        for block, _, mvec, _, _, probs in self._blocks(
+                alpha_home, alpha_away, cdef, slog):
+            # (cell exponents, position per pair, value scale per pair)
+            features = [(block.home_points, home_pos[self.i_idx], ones),
+                        (block.away_points, away_pos[self.j_idx], ones)]
+            if block.defence_exp is not None:
+                features += [(block.defence_exp, def_pos[self.i_idx], ones),
+                             (block.defence_exp, def_pos[self.j_idx], ones)]
+            for name, exps in block.structural.items():
+                if name in struct_pos:
+                    features.append((exps, np.full(pairs, struct_pos[name]),
+                                     ones))
+            if "kappa" in struct_pos:
+                features.append((block.kappa_exp,
+                                 np.full(pairs, struct_pos["kappa"]),
+                                 self.home_mask))
+            exps = np.stack([f[0] for f in features], axis=1)
+            pos = np.stack([f[1] for f in features])
+            scale = np.stack([f[2] for f in features])
+            values = exps[:, :, None] * scale[None, :, :]  # cells x k x pairs
+            centred = values - np.einsum("ckp,cp->kp", values,
+                                         probs)[None, :, :]
+            cov = np.einsum("ckp,clp,cp->klp", centred, centred,
+                            probs * mvec[None, :])
+            rows, cols = pos[:, None, :], pos[None, :, :]
+            keep = (rows >= 0) & (cols >= 0)
+            flat_parts.append((rows * n + cols)[keep])
+            weight_parts.append(cov[keep])
+        hess = -np.bincount(np.concatenate(flat_parts),
+                            np.concatenate(weight_parts),
+                            n * n).reshape(n, n)
+        if self.w > 0:
+            p = _logistic(self._strength_logs(alpha_home,
+                                              alpha_away)[self.pinned:])
+            diagonal = np.arange(len(p))
+            hess[diagonal, diagonal] -= 2.0 * self.w * p * (1.0 - p)
+        return hess
 
     # ---- reporting ----
 
@@ -389,23 +463,22 @@ class _Problem:
         alpha_home, alpha_away, cdef, slog = self.unpack(x)
         observed = np.zeros(self.m)
         expected = np.zeros(self.m)
-        for block, obs, mvec in self.block_data:
-            lw = self._log_weights(block, alpha_home, alpha_away, cdef, slog)
-            log_z = _log_normalizer(lw)
-            probs = np.exp(lw - log_z[None, :])
+        for block, obs, mvec, _, _, probs in self._blocks(
+                alpha_home, alpha_away, cdef, slog):
             exp_cells = mvec[None, :] * probs
-            np.add.at(observed, self.i_idx, block.home_points @ obs)
-            np.add.at(observed, self.j_idx, block.away_points @ obs)
-            np.add.at(expected, self.i_idx, block.home_points @ exp_cells)
-            np.add.at(expected, self.j_idx, block.away_points @ exp_cells)
+            observed += np.bincount(self.i_idx, block.home_points @ obs,
+                                    self.m)
+            observed += np.bincount(self.j_idx, block.away_points @ obs,
+                                    self.m)
+            expected += np.bincount(self.i_idx, block.home_points @ exp_cells,
+                                    self.m)
+            expected += np.bincount(self.j_idx, block.away_points @ exp_cells,
+                                    self.m)
         if self.w > 0:
-            per_side = 2 if self.team_specific else 1
-            observed += self.w * per_side
-            expected += 2.0 * self.w * expit(alpha_home[:self.m] if not
-                                             self.team_specific else
-                                             alpha_home)
-            if self.team_specific:
-                expected += 2.0 * self.w * expit(alpha_away)
+            # one notional win and loss per side the team's strength plays
+            p = _logistic(self._strength_logs(alpha_home, alpha_away))
+            observed += self.w * (self.n_strength // self.m)
+            expected += 2.0 * self.w * p.reshape(-1, self.m).sum(axis=0)
         return observed, expected
 
 
@@ -466,91 +539,70 @@ def score(params: Parameters, counts: OutcomeCounts,
     return Score(**fields)
 
 
-def _maximize(problem: _Problem, x0: np.ndarray, gtol: float, maxiter: int,
-              trace: list | None = None):
-    """BFGS ascent with exact gradients; returns the final iterate.
+# Halving a step this many times shrinks it below 1e-12 of a Newton step.
+_MAX_HALVINGS = 40
 
-    The quasi-Newton line search can stall from floating-point noise just
-    short of the tolerance, so the optimizer is asked for a tighter target
-    than is accepted and restarted with a fresh curvature estimate while
-    it stalls above tolerance with budget left.
+
+@dataclass(frozen=True)
+class NewtonResult:
+    """Last accepted iterate of ``minimize`` with its log likelihood and
+    gradient max-norm, Newton steps (``nit``) and likelihood-and-gradient
+    evaluations (``nfev``); ``message`` says why the ascent stopped."""
+
+    x: np.ndarray
+    value: float
+    grad_inf: float
+    nit: int
+    nfev: int
+    converged: bool
+    message: str
+
+
+def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
+             maxiter: int) -> NewtonResult:
+    """Minimize the negative log likelihood by damped exact Newton steps.
+
+    Each step solves ``-H d = g`` with the analytic Hessian and halves
+    ``d`` until the log likelihood does not drop or the gradient max-norm
+    falls. The run converges once the gradient max-norm is at most
+    ``gtol``. A singular Hessian, a non-finite or non-ascent direction,
+    exhausted halvings or the step budget end it unconverged.
     """
-    def objective(x):
-        value, grad = problem.value_and_grad(x)
-        return -value, -grad
-
-    callback = None
-    if trace is not None:
-        callback = lambda xk: trace.append(problem.value_and_grad(xk)[0])
-    if problem.n_free == 0:
-        return x0, 0, 0.0, True, "nothing to optimize"
     x = np.asarray(x0, dtype=float)
-    total_nit = 0
-    message = ""
-    grad_inf = math.inf
-    for _ in range(3):
-        res = minimize(objective, x, jac=True, method="BFGS",
-                       callback=callback,
-                       options={"gtol": 0.01 * gtol,
-                                "maxiter": maxiter - total_nit})
-        x = res.x
-        total_nit += int(res.nit)
-        message = str(res.message)
-        _, grad = problem.value_and_grad(x)
-        grad_inf = float(np.abs(grad).max()) if grad.size else 0.0
-        if grad_inf <= gtol or total_nit >= maxiter or res.nit == 0:
+    value, g = problem.value_and_grad(x)
+    grad_inf = _max_norm(g)
+    nit, nfev = 0, 1
+    while grad_inf > gtol:
+        if nit >= maxiter:
+            message = f"step budget of {maxiter} used up"
             break
-    if grad_inf > gtol and total_nit < maxiter:
-        x, grad_inf, polish_steps = _newton_polish(
-            problem, x, gtol, min(10, maxiter - total_nit))
-        total_nit += polish_steps
-    return x, total_nit, grad_inf, grad_inf <= gtol, message
-
-
-def _newton_polish(problem: _Problem, x: np.ndarray, gtol: float,
-                   max_steps: int):
-    """Finish a stalled quasi-Newton run with damped Newton steps.
-
-    The Hessian of the concave log likelihood is estimated by central
-    differences of the analytic gradient; steps are halved until the
-    gradient max-norm decreases. Near the optimum this converges
-    quadratically where the line search has hit floating-point noise.
-    """
-    h = 1e-6
-    n = len(x)
-    _, g = problem.value_and_grad(x)
-    grad_inf = float(np.abs(g).max())
-    steps = 0
-    for _ in range(max_steps):
-        if grad_inf <= gtol:
-            break
-        hessian = np.zeros((n, n))
-        for k in range(n):
-            bump = np.zeros(n)
-            bump[k] = h
-            g_plus = problem.value_and_grad(x + bump)[1]
-            g_minus = problem.value_and_grad(x - bump)[1]
-            hessian[:, k] = (g_plus - g_minus) / (2.0 * h)
-        hessian = 0.5 * (hessian + hessian.T)
+        information = -problem.hessian(x)
         try:
-            direction = np.linalg.solve(hessian, -g)
+            d = np.linalg.solve(information, g)
         except np.linalg.LinAlgError:
+            message = "singular Hessian"
             break
-        scale = 1.0
-        improved = False
-        for _ in range(20):
-            x_next = x + scale * direction
-            g_next = problem.value_and_grad(x_next)[1]
-            next_inf = float(np.abs(g_next).max())
-            if next_inf < grad_inf:
-                x, g, grad_inf = x_next, g_next, next_inf
-                improved = True
+        if not (np.isfinite(d).all() and float(g @ d) > 0):
+            message = "no finite ascent direction"
+            break
+        nit += 1
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = x + step * d
+            trial_value, trial_g = problem.value_and_grad(trial)
+            nfev += 1
+            trial_inf = _max_norm(trial_g)
+            if trial_value >= value or trial_inf < grad_inf:
                 break
-            scale *= 0.5
-        steps += 1
-        if not improved:
+            step *= 0.5
+        else:
+            message = f"no improvement after {_MAX_HALVINGS} step halvings"
             break
-    return x, grad_inf, steps
+        x, value, g, grad_inf = trial, trial_value, trial_g, trial_inf
+    else:
+        return NewtonResult(x, value, grad_inf, nit, nfev, True,
+                            "gradient tolerance reached")
+    return NewtonResult(x, value, grad_inf, nit, nfev, False, message)
 
 
 def _team_results(counts: OutcomeCounts) -> dict[str, tuple[int, int, int]]:
@@ -700,9 +752,10 @@ def _gauge_broken(variant: VariantConfig,
 def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
     """Fit the model to an outcome table.
 
-    Raises NonConvergenceError when the gradient tolerance is not reached
-    within the iteration budget or a strength estimate runs away; the
-    error carries the best iterate and a diagnosis.
+    Raises NonConvergenceError when the Newton ascent stops short of the
+    gradient tolerance (step budget, singular Hessian, no ascent step) or
+    a strength estimate runs away; the error carries the best iterate and
+    a diagnosis.
     """
     counts.validate()
     teams = counts.teams()
@@ -716,27 +769,25 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
         teams, counts, config.variant, w, config.points_system,
         freeze=config.freeze, pin_first=pin,
     )
-    x0 = np.zeros(problem.n_free)
-    x, nit, grad_inf, converged, message = _maximize(
-        problem, x0, config.gradient_tolerance, config.max_iterations)
-    raw = problem.x_to_parameters(x)
-    if not converged:
+    result = minimize(problem, np.zeros(problem.n_free),
+                      config.gradient_tolerance, config.max_iterations)
+    nit, grad_inf = result.nit, result.grad_inf
+    raw = problem.x_to_parameters(result.x)
+    if not result.converged:
         diagnosis = _diagnose(counts, w)
         raise NonConvergenceError(
-            f"no certified maximum after {nit} iterations (gradient "
-            f"max-norm {grad_inf:.3g}, optimizer said: {message}); "
-            + diagnosis,
+            f"no certified maximum after {nit} Newton steps (gradient "
+            f"max-norm {grad_inf:.3g}, {result.message}); " + diagnosis,
             best=raw, diagnosis=diagnosis, iterations=nit,
             gradient_norm=grad_inf,
         )
     normalized = normalize_parameters(raw, config.variant)
     _check_divergence(normalized, config.variant, counts, w, nit, grad_inf)
-    observed, expected = problem.points_totals(x)
-    value, _ = problem.value_and_grad(x)
+    observed, expected = problem.points_totals(result.x)
     report = ConvergenceReport(
         iterations=nit,
         final_gradient_norm=grad_inf,
-        log_likelihood=float(value),
+        log_likelihood=result.value,
         observed_points={t: float(observed[k])
                          for k, t in enumerate(problem.teams)},
         expected_points={t: float(expected[k])

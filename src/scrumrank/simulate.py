@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .domain import (
     DEFAULT_POINTS,
@@ -185,6 +184,33 @@ def _strength_map(params: Parameters,
     return params.strengths
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks
+
+
+def spearman(a: Sequence[float], b: Sequence[float]) -> float:
+    """Spearman rank correlation with average ranks for ties.
+
+    NaN when either input is constant, where the correlation is undefined.
+    """
+    ra = _average_ranks(np.asarray(a, dtype=float))
+    rb = _average_ranks(np.asarray(b, dtype=float))
+    ra -= ra.mean()
+    rb -= rb.mean()
+    scale = math.sqrt(float(ra @ ra) * float(rb @ rb))
+    if scale == 0.0:
+        return math.nan
+    return max(-1.0, min(1.0, float(ra @ rb) / scale))
+
+
 @dataclass(frozen=True)
 class ReplicateResult:
     replicate: int
@@ -282,14 +308,9 @@ def recovery_study(truth: Parameters, fixtures: Sequence[Fixture],
         estimates = _structural_values(fitted.parameters, variant)
         est_strengths = _strength_map(fitted.parameters, variant)
         est_order = np.array([est_strengths[t] for t in teams])
-        degenerate = bool(np.all(est_order == est_order[0])
-                          or np.all(truth_order == truth_order[0]))
-        if degenerate:
-            rho = None
-        else:
-            rho = float(spearmanr(truth_order, est_order).statistic)
-            if math.isnan(rho):
-                rho, degenerate = None, True
-        results.append(ReplicateResult(replicate, True, estimates, rho,
+        rho = spearman(truth_order, est_order)
+        degenerate = math.isnan(rho)  # one side's strengths all tied
+        results.append(ReplicateResult(replicate, True, estimates,
+                                       None if degenerate else rho,
                                        degenerate))
     return RecoveryStudy(truth=truth, variant=variant, results=tuple(results))

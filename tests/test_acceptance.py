@@ -25,9 +25,9 @@ from scrumrank.domain import MatchRecord, Venue, outcome_counts
 from scrumrank.estimate import (
     FitConfig,
     PriorConfig,
-    _maximize,
     _Problem,
     fit,
+    minimize,
     score,
 )
 from scrumrank.ingest import (
@@ -149,9 +149,9 @@ def test_criterion_04_entropy_maximizer_agrees_with_mle():
         [(binary, observed)], pin_first=True)
     problem.free_structural = []  # the binary block has no propensities
     problem.n_free = problem.n_strength - problem.pinned
-    x, _, grad_inf, converged, _ = _maximize(
-        problem, np.zeros(problem.n_free), 1e-12, 500)
-    strengths = np.exp(np.concatenate([[0.0], x]))
+    result = minimize(problem, np.zeros(problem.n_free), 1e-12, 500)
+    grad_inf, converged = result.grad_inf, result.converged
+    strengths = np.exp(np.concatenate([[0.0], result.x]))
     parametric = np.array([
         strengths[0] / (strengths[0] + strengths[1]),
         strengths[0] / (strengths[0] + strengths[2]),

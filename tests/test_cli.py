@@ -1,6 +1,10 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from scrumrank.cli import _load_parameters_file, main
@@ -119,6 +123,31 @@ def test_fit_nonconvergence_exit_four(tmp_path, capsys):
                  "--freeze-structural", str(freeze_path)])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_fit_singular_hessian_exit_four(tmp_path, capsys, monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code = main(["fit", str(_season_path(tmp_path)),
+                 str(tmp_path / "model.json"), "--prior-weight", "1.0"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error:" in err and "singular Hessian" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, scrumrank.cli; print(sorted("
+         "m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_points_system_override(tmp_path):

@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from scrumrank.simulate import (
     recovery_study,
     sample_match,
     simulate_season,
+    spearman,
     write_fixtures_csv,
 )
 
@@ -285,3 +287,26 @@ def test_recovery_csv_layout_and_failed_rows():
     assert len(lines) == 1 + 5 + 1  # five structural rows plus spearman
     assert all(line.endswith(",0") for line in lines[1:])
     assert lines[1].split(",")[3] == ""  # no estimate recorded
+
+
+def test_spearman_matches_scipy_on_ties_and_constants():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(17)
+    cases = [([1.0, 2.0], [2.0, 1.0]), ([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]),
+             ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])]
+    for n in (3, 5, 10, 40):
+        for _ in range(25):
+            a = rng.integers(0, 4, n).astype(float)  # heavy ties
+            b = np.round(rng.normal(0.0, 1.0, n), 1)
+            cases.append((a, b))
+    for a, b in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SciPy warns on constants
+            expected = float(stats.spearmanr(a, b).statistic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spearman(a, b)
+        if np.isnan(expected):
+            assert np.isnan(got)
+        else:
+            assert abs(got - expected) <= 1e-12
