@@ -151,12 +151,8 @@ def _report_rejections(result: CleanResult) -> bool:
 
 
 def _structural_line(model: FittedModel) -> str:
-    params = model.parameters
-    parts = []
-    for name in _structural_names(model.variant):
-        value = params.extras.tau if name == "tau" else getattr(params, name)
-        parts.append(f"{name}={value:.6g}")
-    return ", ".join(parts)
+    return ", ".join(f"{name}={model.parameters.structural(name):.6g}"
+                     for name in _structural_names(model.variant))
 
 
 def _print_interpretation(params: Parameters, points: PointsSystem):
@@ -296,6 +292,9 @@ def _cmd_rank(args, argv) -> int:
 
 
 def _cmd_simulate(args, argv) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, "
+                         f"got {args.seed}")
     params, file_variant, file_points = _load_parameters_file(args.truth)
     points = (_load_points(args.points_system) if args.points_system
               else (file_points or DEFAULT_POINTS))

@@ -280,14 +280,30 @@ class OutcomeCounts:
         return sum(int(pc.result.sum()) for pc in self.pairs.values())
 
     def validate(self):
-        for (home, away, venue), pc in self.pairs.items():
-            if home == away:
-                raise ValueError(f"a team cannot play itself: {home!r}")
-            pc.validate()
-            if pc.tries.sum() > pc.result.sum():
-                raise ValueError(
-                    f"pair {home!r} vs {away!r}: more try outcomes than matches"
-                )
+        """Raise for the first bad pair in insertion order.
+
+        Self-play and malformed vectors are found pair by pair; the count
+        checks run on the stacked vectors of the pairs before the first
+        such pair.
+        """
+        keys, counts = list(self.pairs), list(self.pairs.values())
+        first = next((k for k, ((home, away, _), pc)
+                      in enumerate(self.pairs.items())
+                      if home == away or pc.result.shape != (5,)
+                      or pc.tries.shape != (4,)), len(keys))
+        result = np.array([pc.result for pc in counts[:first]]).reshape(-1, 5)
+        tries = np.array([pc.tries for pc in counts[:first]]).reshape(-1, 4)
+        bad = np.flatnonzero((result < 0).any(axis=1) | (tries < 0).any(axis=1)
+                             | (tries.sum(axis=1) > result.sum(axis=1)))
+        index = int(bad[0]) if bad.size else first
+        if index == len(keys):
+            return
+        home, away, _ = keys[index]
+        if home == away:
+            raise ValueError(f"a team cannot play itself: {home!r}")
+        counts[index].validate()
+        raise ValueError(
+            f"pair {home!r} vs {away!r}: more try outcomes than matches")
 
 
 def outcome_counts(matches: Iterable[MatchRecord],

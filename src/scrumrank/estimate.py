@@ -300,11 +300,8 @@ class _Problem:
             parts += [math.log(params.strengths[t]) for t in self.teams]
         if self.off_def:
             parts += [math.log(params.extras.delta[t]) for t in self.teams]
-        for name in self.free_structural:
-            if name == "tau":
-                parts.append(math.log(params.extras.tau))
-            else:
-                parts.append(math.log(getattr(params, name)))
+        parts += [math.log(params.structural(name))
+                  for name in self.free_structural]
         return np.array(parts)
 
     def x_to_parameters(self, x: np.ndarray) -> Parameters:

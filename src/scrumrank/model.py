@@ -167,6 +167,10 @@ class Parameters:
             for team, value in self.extras.delta.items():
                 _positive(f"delta of {team}", value)
 
+    def structural(self, name: str) -> float:
+        """One structural parameter by name; ``tau`` lives in the extras."""
+        return self.extras.tau if name == "tau" else getattr(self, name)
+
     def to_dict(self) -> dict:
         """JSON form: strengths, structural levels and their logs, and the
         variant extras when present."""

@@ -7,6 +7,15 @@ replicates never disturbs earlier ones. Each fixture consumes exactly two
 uniform draws: one picks the result cell, one the try cell, both by
 inverting the categorical CDF.
 
+``fixture_rng`` is the stream of one fixture. A season does not build a
+generator per fixture: ``_fixture_uniforms`` computes every fixture's
+first two draws of that stream at once, bit for bit, by running
+SeedSequence's hashing and one Philox block in NumPy integer arithmetic.
+Philox's output is a pure function of its key and counter, and NumPy's
+policy for random streams (NEP 19) keeps SeedSequence and Philox streams
+fixed across releases, so the two agree on every NumPy version;
+``tests/test_simulate.py`` pins them to each other with ``==``.
+
 The recovery study closes the loop: simulate seasons at known parameters,
 refit each one, and report how well the structural parameters and the
 strength ordering come back.
@@ -17,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -26,6 +36,8 @@ import numpy as np
 from .domain import (
     DEFAULT_POINTS,
     OutcomeCounts,
+    PairCounts,
+    PairKey,
     PointsSystem,
     RESULT_ORDER,
     TRY_ORDER,
@@ -120,16 +132,114 @@ def fixture_rng(seed: int, replicate: int,
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _sample_cell(probs: np.ndarray, u: float) -> int:
-    cdf = np.cumsum(probs)
-    return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
+# SeedSequence's hash constants and pool size, as in NumPy's
+# numpy/random/bit_generator.pyx.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# Philox4x64-10's round multipliers and Weyl key increments (Random123),
+# as columns against the (2, n) halves of the counters and keys.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]],
+                     dtype=np.uint64)
+_PHILOX_ROUNDS = 10
 
 
-def _draw(result_probs: np.ndarray, try_probs: np.ndarray,
-          rng: np.random.Generator) -> tuple[ResultOutcome, TryOutcome]:
-    u_result, u_tries = rng.random(2)
-    return (RESULT_ORDER[_sample_cell(result_probs, u_result)],
-            TRY_ORDER[_sample_cell(try_probs, u_tries)])
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's split of an integer into 32-bit words, low first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+# The mixing steps below take Python ints or uint32 arrays alike.
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """One hash of a word; returns it with the next hash constant."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word into a pool word."""
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) \
+        & _MASK32
+    return value ^ value >> 16
+
+
+def _mulhilo64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    carry = (lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    high = a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32)
+    return a * b, high
+
+
+def _fixture_uniforms(seed: int, replicate: int, n: int) -> np.ndarray:
+    """The first two ``random()`` draws of ``fixture_rng(seed, replicate,
+    i)`` for every fixture index i < n, bit for bit, as a 2 x n array.
+
+    SeedSequence hashes its words (the seed, zero-padded to the pool size,
+    then the replicate and the fixture index) into a four-word pool, with
+    hash constants that do not depend on the data. So everything but the
+    fixture index is mixed once per season. The pool gives Philox its
+    two-word key; a fresh generator's first output is one Philox4x64-10
+    block on counter (1, 0, 0, 0), and its first two words become doubles
+    as ``(word >> 11) * 2**-53``.
+    """
+    seed_words = _uint32_words(seed)
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    const = _INIT_A
+    pool = []
+    for word in seed_words[:_POOL_SIZE]:
+        mixed, const = _hashmix(word, const)
+        pool.append(mixed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], mixed)
+    # fixture indices below 2**32 are one word each
+    tail = (seed_words[_POOL_SIZE:] + _uint32_words(replicate)
+            + [np.arange(n, dtype=np.uint32)])
+    for word in tail:
+        for dst in range(_POOL_SIZE):
+            mixed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], mixed)
+    const = _INIT_B
+    state = []
+    for word in pool:
+        word, const = _hashmix(word, const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    key = np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32])
+    # a round maps counter words (c0, c1, c2, c3) to (hi(c2 M1) ^ c1 ^ k0,
+    # lo(c2 M1), hi(c0 M0) ^ c3 ^ k1, lo(c0 M0)); even holds (c0, c2) and
+    # odd holds (c1, c3)
+    even = np.zeros((2, n), dtype=np.uint64)
+    even[0] = 1
+    odd = np.zeros((2, n), dtype=np.uint64)
+    for round_index in range(_PHILOX_ROUNDS):
+        if round_index:
+            key += _PHILOX_W
+        lo, hi = _mulhilo64(even, _PHILOX_M)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return (np.stack([even[0], odd[0]]) >> 11) * 2.0 ** -53
+
+
+def _inverse_cdf(probs: np.ndarray, u) -> np.ndarray:
+    """Cell drawn by each uniform: the count of each column's categorical
+    CDF values at or below it, capped at the last cell."""
+    cdf = np.cumsum(probs, axis=0)
+    return np.minimum((cdf <= u).sum(axis=0), len(probs) - 1)
 
 
 def sample_match(params: Parameters, fixture: Fixture,
@@ -141,7 +251,9 @@ def sample_match(params: Parameters, fixture: Fixture,
     dist = outcome_distribution(params, fixture.home_team, fixture.away_team,
                                 variant=variant, venue=fixture.venue,
                                 points=points)
-    return _draw(dist.result, dist.tries, rng)
+    u_result, u_tries = rng.random(2)
+    return (RESULT_ORDER[int(_inverse_cdf(dist.result, u_result))],
+            TRY_ORDER[int(_inverse_cdf(dist.tries, u_tries))])
 
 
 def simulate_season(params: Parameters, fixtures: Sequence[Fixture],
@@ -150,31 +262,36 @@ def simulate_season(params: Parameters, fixtures: Sequence[Fixture],
                     points: PointsSystem = DEFAULT_POINTS) -> OutcomeCounts:
     """Sample every fixture once and tabulate the outcomes.
 
-    The probabilities of the whole season come from one model call; each
-    fixture is then drawn from its own stream exactly as ``sample_match``
-    draws it.
+    One model call gives the whole season's probabilities, and each
+    fixture's two uniforms are those of its own stream, so every draw
+    equals ``sample_match`` with ``fixture_rng(seed, replicate, index)``.
+    Pairs enter the table in the order of their first fixture.
     """
     dist = outcome_distribution(params, [f.home_team for f in fixtures],
                                 [f.away_team for f in fixtures], variant,
                                 [f.venue for f in fixtures], points)
-    counts = OutcomeCounts()
-    for index, fixture in enumerate(fixtures):
-        result, tries = _draw(dist.result[:, index], dist.tries[:, index],
-                              fixture_rng(seed, replicate, index))
-        counts.add(fixture.home_team, fixture.away_team, fixture.venue,
-                   result, tries)
-    return counts
+    u_result, u_tries = _fixture_uniforms(seed, replicate, len(fixtures))
+    pair_ids: dict[PairKey, int] = {}
+    ids = np.array([pair_ids.setdefault((f.home_team, f.away_team, f.venue),
+                                        len(pair_ids)) for f in fixtures],
+                   dtype=np.intp)
+
+    def tally(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+        cells = len(probs)
+        flat = ids * cells + _inverse_cdf(probs, u)
+        return np.bincount(flat, minlength=len(pair_ids) * cells
+                           ).reshape(len(pair_ids), cells)
+
+    result = tally(dist.result, u_result)
+    tries = tally(dist.tries, u_tries)
+    return OutcomeCounts({key: PairCounts(result[k], tries[k])
+                          for key, k in pair_ids.items()})
 
 
 def _structural_values(params: Parameters,
                        variant: VariantConfig) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for name in _structural_names(variant):
-        if name == "tau":
-            values[name] = params.extras.tau
-        else:
-            values[name] = getattr(params, name)
-    return values
+    return {name: params.structural(name)
+            for name in _structural_names(variant)}
 
 
 def _strength_map(params: Parameters,

@@ -293,6 +293,20 @@ def test_simulate_unknown_fixture_team_exit_two(tmp_path, capsys):
     assert "Nobody" in capsys.readouterr().err
 
 
+def test_simulate_negative_seed_names_the_flag(tmp_path, capsys):
+    params = _bare_params(tmp_path)
+    fixtures = tmp_path / "fixtures.csv"
+    fixtures.write_text("home_team,away_team,venue\nA,B,\n")
+    report = tmp_path / "report.csv"
+    code = main(["simulate", str(params), str(fixtures), str(report),
+                 "--seed", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed") and "-1" in err
+    assert not report.exists()
+    assert not (tmp_path / "simulate_manifest.json").exists()
+
+
 def test_simulate_accepts_fitted_model_as_truth(tmp_path):
     _, model = _fit_model(tmp_path)
     fixtures = tmp_path / "fixtures.csv"

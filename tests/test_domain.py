@@ -153,6 +153,21 @@ def test_outcome_counts_rejects_excess_try_outcomes():
         counts.validate()
 
 
+def test_outcome_counts_validate_names_the_first_bad_pair():
+    counts = OutcomeCounts()
+    for home, away in (("A", "B"), ("C", "D"), ("E", "F")):
+        counts.add(home, away, Venue.HOME_GROUND, ResultOutcome.DRAW,
+                   TryOutcome.ZERO_BONUS)
+    counts.pairs[("E", "F", Venue.HOME_GROUND)].tries[0] += 1
+    counts.pairs[("C", "D", Venue.HOME_GROUND)].tries[1] += 1
+    with pytest.raises(ValueError, match="'C' vs 'D'"):
+        counts.validate()
+    # a negative count before both excess pairs is reported first
+    counts.pairs[("A", "B", Venue.HOME_GROUND)].result[0] -= 2
+    with pytest.raises(ValueError, match="non-negative"):
+        counts.validate()
+
+
 def _hand_season() -> list[MatchRecord]:
     return [
         # home wide win with home try bonus: 5 - 0

@@ -22,6 +22,7 @@ from scrumrank.simulate import (
     Fixture,
     ReplicateResult,
     RecoveryStudy,
+    _fixture_uniforms,
     double_round_robin,
     fixture_rng,
     mirror_fixtures,
@@ -99,6 +100,27 @@ def test_fixture_rng_streams_are_reproducible_and_distinct():
     assert not np.array_equal(first, other_fixture)
     assert not np.array_equal(first, other_replicate)
     assert not np.array_equal(first, other_seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3,
+                                  123456789012345678901234567890])
+@pytest.mark.parametrize("replicate", [0, 19, 2**32 + 1])
+def test_season_kernel_reproduces_fixture_streams_bit_for_bit(seed,
+                                                              replicate):
+    # seeds and replicates of 2**32 or more span several SeedSequence words
+    expected = np.array([fixture_rng(seed, replicate, index).random(2)
+                         for index in range(500)]).T
+    got = _fixture_uniforms(seed, replicate, 500)
+    assert got.shape == (2, 500)
+    assert (got == expected).all()
+
+
+def test_season_kernel_rejects_negative_seed_or_replicate():
+    for seed, replicate in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(seed, spawn_key=(replicate, 0))
+        with pytest.raises(ValueError):
+            _fixture_uniforms(seed, replicate, 3)
 
 
 def test_sample_match_consumes_exactly_two_uniforms():
