@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .domain import DEFAULT_POINTS, PointsSystem, outcome_counts
@@ -66,10 +65,6 @@ VARIANTS = {
         TryModel.OPPOSITION_DEPENDENT, HomeModel.TEAM_SPECIFIC),
 }
 
-_POINTS_KEYS = ("win_points", "draw_points", "loss_points",
-                "losing_bonus_margin", "try_bonus_threshold")
-
-
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
@@ -86,15 +81,12 @@ def _load_points(path: str | None) -> PointsSystem:
     doc = json.loads(_read_text(path))
     if not isinstance(doc, dict):
         raise ValueError("points-system file must hold a JSON object")
-    unknown = set(doc) - set(_POINTS_KEYS)
+    allowed = list(DEFAULT_POINTS.to_dict())
+    unknown = set(doc) - set(allowed)
     if unknown:
         raise ValueError(f"points-system file: unknown keys "
-                         f"{sorted(unknown)}; allowed {list(_POINTS_KEYS)}")
-    return replace(DEFAULT_POINTS, **doc)
-
-
-def _points_dict(points: PointsSystem) -> dict:
-    return {key: getattr(points, key) for key in _POINTS_KEYS}
+                         f"{sorted(unknown)}; allowed {allowed}")
+    return PointsSystem.from_dict(doc)
 
 
 def _load_parameters_file(path: str):
@@ -131,7 +123,7 @@ def _write_manifest(subcommand: str, argv: Sequence[str],
         "inputs": list(inputs),
         "outputs": list(outputs),
         "seed": seed,
-        "points_system": None if points is None else _points_dict(points),
+        "points_system": None if points is None else points.to_dict(),
     }
     if extra:
         doc.update(extra)

@@ -13,7 +13,7 @@ Everything here is a pure function of immutable values; no I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -92,6 +92,15 @@ class PointsSystem:
             raise ValueError("losing_bonus_margin must be non-negative")
         if self.try_bonus_threshold < 1:
             raise ValueError("try_bonus_threshold must be at least 1")
+
+    def to_dict(self) -> dict:
+        """JSON form, as stored in fitted-model files and manifests."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc: Mapping) -> "PointsSystem":
+        """Inverse of ``to_dict``; absent keys keep their defaults."""
+        return cls(**doc)
 
 
 DEFAULT_POINTS = PointsSystem()

@@ -25,6 +25,14 @@ log-linear exponential family, so the exact Hessian is minus each pair's
 count-weighted covariance of its local features under the same cell
 probabilities the gradient uses, plus the prior's diagonal. A handful of
 steps reach the gradient tolerance.
+
+The Hessian comes in two parts. A plan, built once per problem, holds what
+the parameters do not change: each block's feature exponents and their
+pairwise products, and the slot of every per-pair covariance entry among
+the matrix's non-zero positions. Each step then reuses the cell
+probabilities of the evaluation at its iterate, forms the covariances with
+two small matrix products per block, sums them per slot with one bincount
+and scatters the sums into the dense matrix for the solve.
 """
 
 from __future__ import annotations
@@ -173,6 +181,21 @@ def _structural_names(variant: VariantConfig) -> list[str]:
     return names
 
 
+@dataclass(frozen=True)
+class _HessianPlan:
+    """What ``_Problem.hessian`` needs that does not depend on ``x``.
+
+    ``positions`` are the sorted flat positions of the Hessian's non-zero
+    entries. Each block has its local features' cell exponents (cells x k),
+    their pairwise products (cells x k*k) and, for every covariance entry
+    (k*k x pairs, flattened), its slot in ``positions``; a dropped entry's
+    slot is ``len(positions)``.
+    """
+
+    positions: np.ndarray
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 class _Problem:
     """Vectorized likelihood and gradient over a fixed team indexing."""
 
@@ -214,6 +237,7 @@ class _Problem:
         self.j_idx = np.zeros(0, dtype=int)
         self.home_mask = np.zeros(0)
         self.block_data: list[tuple[OutcomeBlock, np.ndarray, np.ndarray]] = []
+        self._plan: _HessianPlan | None = None
 
     # ---- loaders ----
 
@@ -221,25 +245,26 @@ class _Problem:
     def from_counts(cls, teams, counts: OutcomeCounts, variant, prior_weight,
                     points, freeze=None, pin_first=False) -> "_Problem":
         problem = cls(teams, variant, prior_weight, points, freeze, pin_first)
-        keys = sorted(counts.pairs, key=lambda k: (k[0], k[1], k[2].value))
-        i_idx, j_idx, home = [], [], []
-        r_obs = np.zeros((5, len(keys)))
-        t_obs = np.zeros((4, len(keys)))
-        for p, key in enumerate(keys):
-            home_team, away_team, venue = key
-            if home_team not in problem.index or away_team not in problem.index:
-                missing = home_team if home_team not in problem.index \
-                    else away_team
-                raise ParameterError(f"counts mention {missing!r}, which is "
-                                     "not in the team list")
-            i_idx.append(problem.index[home_team])
-            j_idx.append(problem.index[away_team])
-            home.append(1.0 if venue is Venue.HOME_GROUND else 0.0)
-            r_obs[:, p] = counts.pairs[key].result
-            t_obs[:, p] = counts.pairs[key].tries
-        problem.i_idx = np.array(i_idx, dtype=int)
-        problem.j_idx = np.array(j_idx, dtype=int)
-        problem.home_mask = np.array(home)
+        venue_order = {venue: venue.value for venue in Venue}
+        items = sorted(counts.pairs.items(), key=lambda kv: (
+            kv[0][0], kv[0][1], venue_order[kv[0][2]]))
+        n = len(items)
+        try:
+            # home then away per pair, so the first unknown team is named
+            sides = [(problem.index[home], problem.index[away])
+                     for (home, away, _), _ in items]
+        except KeyError as error:
+            raise ParameterError(f"counts mention {error.args[0]!r}, which "
+                                 "is not in the team list") from None
+        problem.i_idx, problem.j_idx = np.array(
+            sides, dtype=int).reshape(n, 2).T.copy()
+        problem.home_mask = np.array(
+            [venue is Venue.HOME_GROUND for (_, _, venue), _ in items],
+            dtype=float)
+        r_obs = np.array([pc.result for _, pc in items],
+                         dtype=float).reshape(n, 5).T.copy()
+        t_obs = np.array([pc.tries for _, pc in items],
+                         dtype=float).reshape(n, 4).T.copy()
         problem.block_data = [
             (result_block(points), r_obs, r_obs.sum(axis=0)),
             (try_block(variant), t_obs, t_obs.sum(axis=0)),
@@ -356,7 +381,15 @@ class _Problem:
         return alpha_home
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, g, _ = self.evaluate(x)
+        return value, g
+
+    def evaluate(self, x: np.ndarray
+                 ) -> tuple[float, np.ndarray, list[np.ndarray]]:
+        """Log likelihood, its gradient and each block's cell probabilities
+        at ``x``; ``hessian`` takes the probabilities for the same ``x``."""
         alpha_home, alpha_away, cdef, slog = self.unpack(x)
+        block_probs = []
         value = 0.0
         g_strength = np.zeros(self.n_strength)
         g_def = np.zeros(self.m)
@@ -365,6 +398,7 @@ class _Problem:
         ga_away = g_strength[self.m:] if self.team_specific else g_strength
         for block, obs, mvec, lw, log_z, probs in self._blocks(
                 alpha_home, alpha_away, cdef, slog):
+            block_probs.append(probs)
             value += float((obs * lw).sum() - mvec @ log_z)
             resid = obs - mvec[None, :] * probs
             ga_home += np.bincount(self.i_idx, block.home_points @ resid,
@@ -391,20 +425,17 @@ class _Problem:
             g_def if self.off_def else np.zeros(0),
             np.array([g_struct[name] for name in self.free_structural]),
         ])
-        return value, g
+        return value, g, block_probs
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Exact Hessian of ``value_and_grad``'s value over ``x``.
+    def _hessian_plan(self) -> _HessianPlan:
+        """The part of ``hessian`` that does not depend on ``x``.
 
-        A block's log weights for one pair are linear in a few local
-        features: each side's log strength, both log defences, the free
-        structural logs and log kappa on home grounds. Its Hessian is minus
-        the count-weighted covariance of those features under the pair's
-        cell probabilities. The per-pair blocks are scattered into the
-        dense matrix with one bincount; the prior adds its diagonal.
+        Built on first use, once the layout (``n_free`` and the free
+        structural names) is final, and kept for the problem's lifetime.
         """
+        if self._plan is not None:
+            return self._plan
         n = self.n_free
-        alpha_home, alpha_away, cdef, slog = self.unpack(x)
         strength = np.arange(self.n_strength) - self.pinned  # pinned: -1
         home_pos = strength[:self.m]
         away_pos = strength[self.m:] if self.team_specific else home_pos
@@ -413,39 +444,78 @@ class _Problem:
         struct_pos = {name: base + self.n_def + k
                       for k, name in enumerate(self.free_structural)}
         pairs = len(self.i_idx)
-        ones = np.ones(pairs)
-        flat_parts, weight_parts = [], []
-        for block, _, mvec, _, _, probs in self._blocks(
-                alpha_home, alpha_away, cdef, slog):
-            # (cell exponents, position per pair, value scale per pair)
-            features = [(block.home_points, home_pos[self.i_idx], ones),
-                        (block.away_points, away_pos[self.j_idx], ones)]
+        planned = []  # (exps, products, flat) per block
+        for block, _, _ in self.block_data:
+            # (cell exponents, position per pair); position -1 drops it
+            features = [(block.home_points, home_pos[self.i_idx]),
+                        (block.away_points, away_pos[self.j_idx])]
             if block.defence_exp is not None:
-                features += [(block.defence_exp, def_pos[self.i_idx], ones),
-                             (block.defence_exp, def_pos[self.j_idx], ones)]
+                features += [(block.defence_exp, def_pos[self.i_idx]),
+                             (block.defence_exp, def_pos[self.j_idx])]
             for name, exps in block.structural.items():
                 if name in struct_pos:
-                    features.append((exps, np.full(pairs, struct_pos[name]),
-                                     ones))
+                    features.append((exps, np.full(pairs, struct_pos[name])))
             if "kappa" in struct_pos:
+                # the home mask is 0 or 1: log kappa's feature is zero at a
+                # neutral ground, so its entries there are dropped
                 features.append((block.kappa_exp,
-                                 np.full(pairs, struct_pos["kappa"]),
-                                 self.home_mask))
+                                 np.where(self.home_mask > 0,
+                                          struct_pos["kappa"], -1)))
             exps = np.stack([f[0] for f in features], axis=1)
             pos = np.stack([f[1] for f in features])
-            scale = np.stack([f[2] for f in features])
-            values = exps[:, :, None] * scale[None, :, :]  # cells x k x pairs
-            centred = values - np.einsum("ckp,cp->kp", values,
-                                         probs)[None, :, :]
-            cov = np.einsum("ckp,clp,cp->klp", centred, centred,
-                            probs * mvec[None, :])
             rows, cols = pos[:, None, :], pos[None, :, :]
-            keep = (rows >= 0) & (cols >= 0)
-            flat_parts.append((rows * n + cols)[keep])
-            weight_parts.append(cov[keep])
-        hess = -np.bincount(np.concatenate(flat_parts),
-                            np.concatenate(weight_parts),
-                            n * n).reshape(n, n)
+            k = len(features)
+            # flat matrix position of each covariance entry; n * n if dropped
+            flat = np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n)
+            products = (exps[:, :, None] * exps[:, None, :]).reshape(-1, k * k)
+            planned.append((exps, products, flat.reshape(-1)))
+        present = np.zeros(n * n + 1, dtype=bool)
+        for *_, flat in planned:
+            present[flat] = True
+        positions = np.flatnonzero(present[:-1])
+        slot = np.full(n * n + 1, len(positions))  # dropped: the last slot
+        slot[positions] = np.arange(len(positions))
+        self._plan = _HessianPlan(positions, [
+            (exps, products, slot[flat]) for exps, products, flat in planned])
+        return self._plan
+
+    def hessian(self, x: np.ndarray,
+                probs: Sequence[np.ndarray] | None = None) -> np.ndarray:
+        """Exact Hessian of ``value_and_grad``'s value over ``x``.
+
+        A block's log weights for one pair are linear in a few local
+        features: each side's log strength, both log defences, the free
+        structural logs and log kappa on home grounds. Its Hessian is minus
+        the count-weighted covariance of those features under the pair's
+        cell probabilities. ``probs`` are those probabilities, one
+        cells x pairs array per block, as ``evaluate`` returns them at the
+        same ``x``; without them the kernel runs again.
+
+        The feature exponents, their pairwise products and each covariance
+        entry's slot among the matrix's non-zero positions depend only on
+        the schedule and layout, so they are planned once per problem. Each
+        call takes the second moments and means with two matrix products
+        per block, sums the entries per slot with one bincount and scatters
+        the sums into the dense matrix; the prior adds its diagonal.
+        """
+        n = self.n_free
+        alpha_home, alpha_away, cdef, slog = self.unpack(x)
+        if probs is None:
+            probs = [p for *_, p in self._blocks(alpha_home, alpha_away,
+                                                 cdef, slog)]
+        plan = self._hessian_plan()
+        sums = np.zeros(len(plan.positions) + 1)
+        for (_, _, mvec), (exps, products, slots), p in zip(
+                self.block_data, plan.blocks, probs):
+            k = exps.shape[1]
+            mean = exps.T @ p  # k x pairs
+            cov = products.T @ (p * mvec[None, :]) \
+                - (mean[:, None, :] * mean[None, :, :]).reshape(k * k, -1) \
+                * mvec[None, :]
+            sums += np.bincount(slots, cov.ravel(), len(sums))
+        hess = np.zeros(n * n)
+        hess[plan.positions] = -sums[:-1]
+        hess = hess.reshape(n, n)
         if self.w > 0:
             p = _logistic(self._strength_logs(alpha_home,
                                               alpha_away)[self.pinned:])
@@ -566,14 +636,14 @@ def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
     exhausted halvings or the step budget end it unconverged.
     """
     x = np.asarray(x0, dtype=float)
-    value, g = problem.value_and_grad(x)
+    value, g, probs = problem.evaluate(x)
     grad_inf = _max_norm(g)
     nit, nfev = 0, 1
     while grad_inf > gtol:
         if nit >= maxiter:
             message = f"step budget of {maxiter} used up"
             break
-        information = -problem.hessian(x)
+        information = -problem.hessian(x, probs)
         try:
             d = np.linalg.solve(information, g)
         except np.linalg.LinAlgError:
@@ -586,7 +656,7 @@ def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = x + step * d
-            trial_value, trial_g = problem.value_and_grad(trial)
+            trial_value, trial_g, trial_probs = problem.evaluate(trial)
             nfev += 1
             trial_inf = _max_norm(trial_g)
             if trial_value >= value or trial_inf < grad_inf:
@@ -595,7 +665,8 @@ def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
         else:
             message = f"no improvement after {_MAX_HALVINGS} step halvings"
             break
-        x, value, g, grad_inf = trial, trial_value, trial_g, trial_inf
+        x, value, g, probs, grad_inf = (trial, trial_value, trial_g,
+                                        trial_probs, trial_inf)
     else:
         return NewtonResult(x, value, grad_inf, nit, nfev, True,
                             "gradient tolerance reached")
@@ -668,13 +739,7 @@ class FittedModel:
             "variant": self.variant.to_dict(),
             "prior": {"weight": self.prior.weight,
                       "dummy_strength": self.prior.dummy_strength},
-            "points_system": {
-                "win_points": self.points_system.win_points,
-                "draw_points": self.points_system.draw_points,
-                "loss_points": self.points_system.loss_points,
-                "losing_bonus_margin": self.points_system.losing_bonus_margin,
-                "try_bonus_threshold": self.points_system.try_bonus_threshold,
-            },
+            "points_system": self.points_system.to_dict(),
             "parameters": self.parameters.to_dict(),
             "raw_parameters": self.raw_parameters.to_dict(),
             "convergence": {
@@ -697,7 +762,7 @@ class FittedModel:
             raw_parameters=Parameters.from_dict(doc["raw_parameters"]),
             variant=VariantConfig.from_dict(doc["variant"]),
             prior=PriorConfig(**doc["prior"]),
-            points_system=PointsSystem(**doc["points_system"]),
+            points_system=PointsSystem.from_dict(doc["points_system"]),
             report=ConvergenceReport(
                 iterations=conv["iterations"],
                 final_gradient_norm=conv["final_gradient_norm"],

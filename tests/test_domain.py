@@ -92,6 +92,17 @@ def test_points_system_validation():
         PointsSystem(try_bonus_threshold=0)
 
 
+def test_points_system_dict_round_trip():
+    points = PointsSystem(win_points=3, draw_points=1, loss_points=0,
+                          losing_bonus_margin=5, try_bonus_threshold=3)
+    assert points.to_dict() == {"win_points": 3, "draw_points": 1,
+                                "loss_points": 0, "losing_bonus_margin": 5,
+                                "try_bonus_threshold": 3}
+    assert PointsSystem.from_dict(points.to_dict()) == points
+    assert PointsSystem.from_dict({"losing_bonus_margin": 5}) == \
+        PointsSystem(losing_bonus_margin=5)
+
+
 def test_match_record_validation():
     with pytest.raises(ValueError):
         MatchRecord("A", "A", 10, 5, 1, 1)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -394,6 +395,81 @@ def test_hessian_matches_central_differences(variant, weight, freeze,
     np.linalg.cholesky(-analytic)
 
 
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+@pytest.mark.parametrize("weight, freeze, pin_first", [
+    (0.0, None, True),
+    (1.0, None, False),
+    (0.0, {"rho_n": 0.448}, False),
+])
+def test_hessian_from_evaluated_probabilities_equals_a_fresh_one(
+        variant, weight, freeze, pin_first):
+    counts = _golden_counts()
+
+    def problem():
+        return _Problem.from_counts(counts.teams(), counts, variant, weight,
+                                    DEFAULT_POINTS, freeze=freeze,
+                                    pin_first=pin_first)
+
+    reused = problem()
+    x1, x2 = np.random.default_rng(37).normal(0.0, 0.5, (2, reused.n_free))
+    _, _, probs = reused.evaluate(x1)
+    at_x1 = problem().hessian(x1)
+    assert np.array_equal(reused.hessian(x1, probs), at_x1)
+    assert np.array_equal(reused.hessian(x1), at_x1)
+    # an evaluation at one point leaves nothing behind for another
+    reused.value_and_grad(x1)
+    at_x2 = reused.hessian(x2)
+    assert np.array_equal(at_x2, problem().hessian(x2))
+    assert not np.array_equal(at_x2, at_x1)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+def test_fit_runs_the_kernel_only_for_evaluations(monkeypatch, variant):
+    kernel_calls = []
+    kernel = estimate.log_cell_weights
+
+    def counting_kernel(*args, **kwargs):
+        kernel_calls.append(args[0])
+        return kernel(*args, **kwargs)
+
+    results = []
+    solver = estimate.minimize
+
+    def counting_solver(*args, **kwargs):
+        results.append(solver(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(estimate, "log_cell_weights", counting_kernel)
+    monkeypatch.setattr(estimate, "minimize", counting_solver)
+    fit(_golden_counts(), FitConfig(variant=variant,
+                                    prior=PriorConfig(weight=1.0)))
+    (result,) = results
+    assert result.nit >= 2
+    # one kernel pass per block for each likelihood-and-gradient evaluation
+    # and for the closing points totals; every Hessian reuses the
+    # probabilities of the evaluation at its iterate
+    assert len(kernel_calls) == 2 * result.nfev + 2
+
+
+@pytest.mark.parametrize("dropped", [(0,), (0, 1), (-1,), (1, -1)])
+def test_problem_names_the_first_team_missing_from_the_list(dropped):
+    counts = _golden_counts()
+    teams = counts.teams()
+    gone = {teams[k] for k in dropped}
+    # the pairs in the problem's order, home before away within each
+    keys = sorted(counts.pairs, key=lambda k: (k[0], k[1], k[2].value))
+    first = next(team for home, away, _ in keys for team in (home, away)
+                 if team in gone)
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"counts mention {first!r}")):
+        _Problem.from_counts([t for t in teams if t not in gone], counts,
+                             DEFAULT_VARIANT, 0.0, DEFAULT_POINTS)
+
+
 def test_fit_calls_the_newton_solver_once(monkeypatch):
     calls = []
     solver = estimate.minimize
@@ -434,17 +510,17 @@ def test_failed_newton_direction_is_a_nonconvergence(monkeypatch, solve,
 
 
 def test_exhausted_step_halvings_are_a_nonconvergence(monkeypatch):
-    evaluate = _Problem.value_and_grad
+    evaluate = _Problem.evaluate
     seen = []
 
     def worse_after_the_start(problem, x):
-        value, grad = evaluate(problem, x)
+        value, grad, probs = evaluate(problem, x)
         seen.append(x)
         if len(seen) == 1:
-            return value, grad
-        return -np.inf, np.full_like(grad, np.inf)
+            return value, grad, probs
+        return -np.inf, np.full_like(grad, np.inf), probs
 
-    monkeypatch.setattr(_Problem, "value_and_grad", worse_after_the_start)
+    monkeypatch.setattr(_Problem, "evaluate", worse_after_the_start)
     with pytest.raises(NonConvergenceError) as err:
         fit(_golden_counts(), FitConfig(prior=PriorConfig(weight=1.0)))
     assert "step halvings" in str(err.value)

@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import types
 import warnings
 
 import numpy as np
@@ -17,12 +18,14 @@ from scrumrank.domain import (
     Venue,
 )
 from scrumrank.estimate import FitConfig, PriorConfig
+import scrumrank.simulate as simulate
 from scrumrank.model import Parameters, VariantParameters, outcome_distribution
 from scrumrank.simulate import (
     Fixture,
     ReplicateResult,
     RecoveryStudy,
     _fixture_uniforms,
+    _merge_ties,
     double_round_robin,
     fixture_rng,
     mirror_fixtures,
@@ -290,6 +293,31 @@ def test_recovery_study_smoke():
         value = summary.median_estimates[name]
         assert 0.1 * summary.truth[name] < value < 10 * summary.truth[name]
     assert summary.median_estimates["tau_b"] >= 0.0
+
+
+def test_merge_ties_joins_runs_within_the_width_only():
+    values = np.array([0.3, 0.1, 0.3 + 1e-12, 0.2, 0.1 - 6e-7, 0.1 + 6e-7])
+    merged = _merge_ties(values, 1e-6)
+    # neighbours 6e-7 apart chain into one run wider than the width, which
+    # takes its smallest value
+    assert merged.tolist() == [0.3, 0.1 - 6e-7, 0.3, 0.2, 0.1 - 6e-7,
+                               0.1 - 6e-7]
+    assert _merge_ties(values, 0.0).tolist() == values.tolist()
+
+
+def test_recovery_spearman_ranks_near_equal_estimates_as_ties(monkeypatch):
+    truth = _params({"A": 1.0, "B": 0.9, "C": 2.0})
+    # A and B differ by fit noise only: without ties A would rank above B
+    estimate = _params({"A": 1.0 * (1 + 1e-12), "B": 1.0, "C": 2.0})
+    monkeypatch.setattr(simulate, "fit", lambda counts, config:
+                        types.SimpleNamespace(parameters=estimate))
+    study = recovery_study(truth, double_round_robin(["A", "B", "C"]),
+                           replicates=1, seed=3)
+    (result,) = study.results
+    assert result.strength_spearman == spearman([1.0, 0.9, 2.0],
+                                                [1.0, 1.0, 2.0])
+    assert result.strength_spearman != spearman([1.0, 0.9, 2.0],
+                                                [1.0 + 1e-12, 1.0, 2.0])
 
 
 def test_recovery_study_requires_a_replicate():
