@@ -22,7 +22,6 @@ from .domain import (
     classify_result,
     classify_try,
     league_points,
-    match_league_points,
     outcome_counts,
     sufficient_stats,
 )
@@ -34,7 +33,6 @@ from .estimate import (
     PriorConfig,
     Score,
     fit,
-    freeze_and_refit,
     log_likelihood,
     score,
 )
@@ -58,20 +56,19 @@ from .model import (
     OutcomeDistribution,
     Parameters,
     ParameterError,
+    ParameterLayout,
     StructuralInterpretation,
     TryModel,
     VariantConfig,
     VariantParameters,
-    arithmetic_normalize,
     expected_points,
     gauge_transform,
     generalized_mean,
     interpret_structural,
     normalize_parameters,
     outcome_distribution,
-    result_probs,
+    parameter_layout,
     solve_scale,
-    try_probs,
 )
 from .rank import (
     RankingComparison,
@@ -80,7 +77,6 @@ from .rank import (
     TeamRecord,
     build_table,
     compare_rankings,
-    competition_ranks,
     lppm,
     merit_points,
     playing_records,
@@ -92,12 +88,10 @@ from .simulate import (
     RecoveryStudy,
     double_round_robin,
     fixture_rng,
-    mirror_fixtures,
     parse_fixtures_csv,
     recovery_study,
     sample_match,
     simulate_season,
-    write_fixtures_csv,
 )
 
 __version__ = "0.1.0"

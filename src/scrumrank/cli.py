@@ -24,7 +24,6 @@ from .estimate import (
     FittedModel,
     NonConvergenceError,
     PriorConfig,
-    _structural_names,
     fit,
 )
 from .ingest import (
@@ -42,6 +41,7 @@ from .model import (
     TryModel,
     VariantConfig,
     interpret_structural,
+    parameter_layout,
 )
 from .rank import (
     TeamMismatchError,
@@ -143,8 +143,8 @@ def _report_rejections(result: CleanResult) -> bool:
 
 
 def _structural_line(model: FittedModel) -> str:
-    return ", ".join(f"{name}={model.parameters.structural(name):.6g}"
-                     for name in _structural_names(model.variant))
+    return ", ".join(f"{name}={model.parameters.value(name):.6g}"
+                     for name in parameter_layout(model.variant).structural)
 
 
 def _print_interpretation(params: Parameters, points: PointsSystem):
@@ -166,17 +166,12 @@ def _print_fit_summary(model: FittedModel):
           f"{report.log_likelihood:.6f}")
     print(f"structural parameters: {_structural_line(model)}")
     params = model.parameters
-    if model.variant.home_model is HomeModel.TEAM_SPECIFIC:
-        strengths = params.extras.home_strengths
-        print("home / away strengths:")
-        for team in sorted(strengths, key=strengths.get, reverse=True):
-            print(f"  {team}: {strengths[team]:.4f} / "
-                  f"{params.extras.away_strengths[team]:.4f}")
-    else:
-        print("strengths (generalized mean 1):")
-        for team in sorted(params.strengths, key=params.strengths.get,
-                           reverse=True):
-            print(f"  {team}: {params.strengths[team]:.4f}")
+    names = parameter_layout(model.variant).strength_tables
+    tables = [params.value(name) for name in names]
+    print(f"{' / '.join(names)} (generalized mean 1):")
+    for team in sorted(tables[0], key=tables[0].get, reverse=True):
+        print(f"  {team}: " + " / ".join(f"{table[team]:.4f}"
+                                         for table in tables))
     print("league points, observed vs expected (prior included):")
     for team in sorted(report.observed_points):
         print(f"  {team}: {report.observed_points[team]:.3f} vs "
@@ -296,15 +291,6 @@ def _cmd_simulate(args, argv) -> int:
         variant = file_variant or DEFAULT_VARIANT
     params.validate(variant)
     fixtures = parse_fixtures_csv(_read_text(args.fixtures))
-    if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        known = set(params.extras.home_strengths)
-    else:
-        known = set(params.strengths)
-    for fixture in fixtures:
-        for team in (fixture.home_team, fixture.away_team):
-            if team not in known:
-                raise ValueError(f"fixtures mention {team!r}, which has no "
-                                 "strength in the truth parameters")
     config = FitConfig(variant=variant,
                        prior=PriorConfig(weight=args.prior_weight),
                        points_system=points)

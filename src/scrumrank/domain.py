@@ -218,13 +218,6 @@ def league_points(result: ResultOutcome, tries: TryOutcome,
     return result_part[0] + try_part[0], result_part[1] + try_part[1]
 
 
-def match_league_points(record: MatchRecord,
-                        points: PointsSystem = DEFAULT_POINTS) -> tuple[int, int]:
-    """League points (home, away) for a match record."""
-    result, tries = classify_match(record, points)
-    return league_points(result, tries, points)
-
-
 def result_points_arrays(points: PointsSystem = DEFAULT_POINTS
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Home and away result points per RESULT_ORDER cell."""

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -52,15 +52,15 @@ from .domain import (
 )
 from .model import (
     DEFAULT_VARIANT,
-    HomeModel,
+    GAUGE_POWER,
     OutcomeBlock,
+    ParameterLayout,
     Parameters,
     ParameterError,
-    TryModel,
     VariantConfig,
-    VariantParameters,
     log_cell_weights,
     normalize_parameters,
+    parameter_layout,
     result_block,
     try_block,
 )
@@ -159,26 +159,13 @@ class Score:
 
     def max_norm(self) -> float:
         parts: list[float] = []
-        for group in (self.strengths, self.delta, self.home_strengths,
-                      self.away_strengths):
-            if group is not None:
-                parts.extend(abs(v) for v in group.values())
-        for name in ("rho_n", "rho_d", "tau_b", "tau_z", "tau", "kappa"):
-            value = getattr(self, name)
-            if value is not None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Mapping):
+                parts.extend(abs(v) for v in value.values())
+            elif value is not None:
                 parts.append(abs(value))
-        return max(parts) if parts else 0.0
-
-
-def _structural_names(variant: VariantConfig) -> list[str]:
-    names = ["rho_n", "rho_d"]
-    if variant.try_model is TryModel.OPPOSITION_DEPENDENT:
-        names += ["tau_b", "tau_z"]
-    elif variant.try_model is TryModel.OPPOSITION_INDEPENDENT:
-        names += ["tau"]
-    if variant.home_model is HomeModel.SINGLE_KAPPA:
-        names += ["kappa"]
-    return names
+        return max(parts, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -197,27 +184,35 @@ class _HessianPlan:
 
 
 class _Problem:
-    """Vectorized likelihood and gradient over a fixed team indexing."""
+    """Vectorized likelihood and gradient over a fixed team indexing.
 
-    def __init__(self, teams: Sequence[str], variant: VariantConfig,
-                 prior_weight: float, points: PointsSystem,
+    The pairs are parallel arrays: home and away team indices and a home
+    ground mask (1 at the home side's ground, 0 at a neutral one). Each
+    block comes with its observed cell counts, cells x pairs. ``x`` holds
+    the log parameters in the layout's order: every per-team table in
+    turn, less the pinned first entry, then the free structural levels.
+    """
+
+    def __init__(self, teams: Sequence[str], i_idx: np.ndarray,
+                 j_idx: np.ndarray, home_mask: np.ndarray,
+                 blocks: Sequence[tuple[OutcomeBlock, np.ndarray]],
+                 variant: VariantConfig, prior_weight: float,
                  freeze: Mapping[str, float] | None = None,
                  pin_first: bool = False):
         self.teams = list(teams)
-        self.index = {team: k for k, team in enumerate(self.teams)}
         self.m = len(self.teams)
-        self.variant = variant
         self.w = float(prior_weight)
-        self.points = points
-        self.team_specific = variant.home_model is HomeModel.TEAM_SPECIFIC
-        self.off_def = variant.try_model is TryModel.OFFENSIVE_DEFENSIVE
-        names = _structural_names(variant)
+        self.i_idx, self.j_idx, self.home_mask = i_idx, j_idx, home_mask
+        self.block_data = [(block, obs, obs.sum(axis=0))
+                           for block, obs in blocks]
+        self.layout = ParameterLayout.of(variant, [b for b, _ in blocks])
+        names = self.layout.structural
         freeze = dict(freeze or {})
         unknown = set(freeze) - set(names)
         if unknown:
             raise ParameterError(
                 f"cannot freeze {sorted(unknown)}; this variant's structural "
-                f"parameters are {names}"
+                f"parameters are {list(names)}"
             )
         for name, value in freeze.items():
             if not (math.isfinite(value) and value > 0):
@@ -228,157 +223,92 @@ class _Problem:
         self.frozen_levels = dict(freeze)
         self.free_structural = [n for n in names if n not in freeze]
         self.pinned = 1 if pin_first else 0
-        self.n_strength = 2 * self.m if self.team_specific else self.m
-        self.n_def = self.m if self.off_def else 0
-        self.n_free = (self.n_strength - self.pinned) + self.n_def \
-            + len(self.free_structural)
-        # pair data, filled by one of the loaders
-        self.i_idx = np.zeros(0, dtype=int)
-        self.j_idx = np.zeros(0, dtype=int)
-        self.home_mask = np.zeros(0)
-        self.block_data: list[tuple[OutcomeBlock, np.ndarray, np.ndarray]] = []
+        self.n_strength = len(self.layout.strength_tables) * self.m
+        self.n_team = len(self.layout.tables) * self.m
+        self.n_free = self.n_team - self.pinned + len(self.free_structural)
         self._plan: _HessianPlan | None = None
-
-    # ---- loaders ----
 
     @classmethod
     def from_counts(cls, teams, counts: OutcomeCounts, variant, prior_weight,
                     points, freeze=None, pin_first=False) -> "_Problem":
-        problem = cls(teams, variant, prior_weight, points, freeze, pin_first)
+        index = {team: k for k, team in enumerate(teams)}
         venue_order = {venue: venue.value for venue in Venue}
         items = sorted(counts.pairs.items(), key=lambda kv: (
             kv[0][0], kv[0][1], venue_order[kv[0][2]]))
         n = len(items)
         try:
             # home then away per pair, so the first unknown team is named
-            sides = [(problem.index[home], problem.index[away])
+            sides = [(index[home], index[away])
                      for (home, away, _), _ in items]
         except KeyError as error:
             raise ParameterError(f"counts mention {error.args[0]!r}, which "
                                  "is not in the team list") from None
-        problem.i_idx, problem.j_idx = np.array(
-            sides, dtype=int).reshape(n, 2).T.copy()
-        problem.home_mask = np.array(
+        i_idx, j_idx = np.array(sides, dtype=int).reshape(n, 2).T.copy()
+        home_mask = np.array(
             [venue is Venue.HOME_GROUND for (_, _, venue), _ in items],
             dtype=float)
         r_obs = np.array([pc.result for _, pc in items],
                          dtype=float).reshape(n, 5).T.copy()
         t_obs = np.array([pc.tries for _, pc in items],
                          dtype=float).reshape(n, 4).T.copy()
-        problem.block_data = [
-            (result_block(points), r_obs, r_obs.sum(axis=0)),
-            (try_block(variant), t_obs, t_obs.sum(axis=0)),
-        ]
-        return problem
-
-    @classmethod
-    def from_blocks(cls, teams, pairs: Sequence[tuple[int, int, bool]],
-                    block_data, variant=None, prior_weight=0.0,
-                    points=DEFAULT_POINTS, pin_first=False) -> "_Problem":
-        """Loader for a custom outcome block set (used for small studies)."""
-        variant = variant or VariantConfig(home_model=HomeModel.NONE)
-        problem = cls(teams, variant, prior_weight, points,
-                      pin_first=pin_first)
-        problem.i_idx = np.array([p[0] for p in pairs], dtype=int)
-        problem.j_idx = np.array([p[1] for p in pairs], dtype=int)
-        problem.home_mask = np.array([1.0 if p[2] else 0.0 for p in pairs])
-        problem.block_data = [(block, np.asarray(obs, dtype=float),
-                               np.asarray(obs, dtype=float).sum(axis=0))
-                              for block, obs in block_data]
-        return problem
+        return cls(teams, i_idx, j_idx, home_mask,
+                   [(result_block(points), r_obs),
+                    (try_block(variant), t_obs)],
+                   variant, prior_weight, freeze, pin_first)
 
     # ---- parameter packing ----
 
-    def unpack(self, x: np.ndarray):
-        pos = 0
-        n = self.n_strength - self.pinned
-        flat = np.zeros(self.n_strength)
-        flat[self.pinned:] = x[pos:pos + n]
-        pos += n
-        if self.team_specific:
-            alpha_home, alpha_away = flat[:self.m], flat[self.m:]
-        else:
-            alpha_home = alpha_away = flat
-        cdef = None
-        if self.off_def:
-            cdef = x[pos:pos + self.m]
-            pos += self.m
+    def _tables(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each per-team table's slice of ``flat``, by table name."""
+        return dict(zip(self.layout.tables,
+                        flat.reshape(len(self.layout.tables), self.m)))
+
+    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+        """Every per-team log in x's layout, the pinned one included, and
+        the log of every structural level (kappa 0 where absent)."""
+        n = self.n_team - self.pinned
+        flat = np.zeros(self.n_team)
+        flat[self.pinned:] = x[:n]
         slog = dict(self.frozen_logs)
-        for name in self.free_structural:
-            slog[name] = x[pos]
-            pos += 1
-        if "kappa" not in slog:
-            slog["kappa"] = 0.0
-        return alpha_home, alpha_away, cdef, slog
+        slog.update(zip(self.free_structural, x[n:]))
+        slog.setdefault("kappa", 0.0)
+        return flat, slog
 
     def pack(self, params: Parameters) -> np.ndarray:
         """Inverse of unpack for a full (unpinned) layout."""
         if self.pinned:
             raise ParameterError("cannot pack parameters into a pinned layout")
-        parts: list[float] = []
-        if self.team_specific:
-            parts += [math.log(params.extras.home_strengths[t])
-                      for t in self.teams]
-            parts += [math.log(params.extras.away_strengths[t])
-                      for t in self.teams]
-        else:
-            parts += [math.log(params.strengths[t]) for t in self.teams]
-        if self.off_def:
-            parts += [math.log(params.extras.delta[t]) for t in self.teams]
-        parts += [math.log(params.structural(name))
+        parts = [math.log(params.value(name)[t])
+                 for name in self.layout.tables for t in self.teams]
+        parts += [math.log(params.value(name))
                   for name in self.free_structural]
         return np.array(parts)
 
     def x_to_parameters(self, x: np.ndarray) -> Parameters:
-        alpha_home, alpha_away, cdef, slog = self.unpack(x)
-        level = {name: math.exp(value) for name, value in slog.items()}
-        level.update(self.frozen_levels)  # keep frozen values exact
-        extras = None
-        if self.team_specific:
-            extras = VariantParameters(
-                home_strengths={t: math.exp(alpha_home[k])
-                                for k, t in enumerate(self.teams)},
-                away_strengths={t: math.exp(alpha_away[k])
-                                for k, t in enumerate(self.teams)},
-            )
-            strengths: dict[str, float] = {}
-        else:
-            strengths = {t: math.exp(alpha_home[k])
-                         for k, t in enumerate(self.teams)}
-        if self.off_def:
-            extras = VariantParameters(
-                delta={t: math.exp(cdef[k]) for k, t in enumerate(self.teams)})
-        if self.variant.try_model is TryModel.OPPOSITION_INDEPENDENT:
-            extras = VariantParameters(tau=level["tau"])
-        return Parameters(
-            strengths=strengths,
-            rho_n=level.get("rho_n", 1.0),
-            rho_d=level.get("rho_d", 1.0),
-            tau_b=level.get("tau_b", 1.0),
-            tau_z=level.get("tau_z", 1.0),
-            kappa=level.get("kappa", 1.0),
-            extras=extras,
-        )
+        flat, slog = self.unpack(x)
+        values: dict = {
+            name: {t: math.exp(logs[k]) for k, t in enumerate(self.teams)}
+            for name, logs in self._tables(flat).items()}
+        values.update({name: math.exp(slog[name])
+                       for name in self.free_structural})
+        values.update(self.frozen_levels)  # keep frozen values exact
+        return Parameters(strengths={}).with_values(values)
 
     # ---- likelihood ----
 
-    def _blocks(self, alpha_home, alpha_away, cdef, slog):
+    def _blocks(self, flat, slog):
         """Each block's data with its log weights, log normalizers and
         cell probabilities, all shaped cells x pairs."""
-        defence_sum = None if cdef is None \
-            else cdef[self.i_idx] + cdef[self.j_idx]
+        tables = self._tables(flat)
+        defence = tables.get(self.layout.defence)
+        defence_sum = None if defence is None \
+            else defence[self.i_idx] + defence[self.j_idx]
         for block, obs, mvec in self.block_data:
-            lw = log_cell_weights(block, alpha_home[self.i_idx],
-                                  alpha_away[self.j_idx], slog,
+            lw = log_cell_weights(block, tables[self.layout.home][self.i_idx],
+                                  tables[self.layout.away][self.j_idx], slog,
                                   slog["kappa"] * self.home_mask, defence_sum)
             log_z = _log_normalizer(lw)
             yield block, obs, mvec, lw, log_z, np.exp(lw - log_z[None, :])
-
-    def _strength_logs(self, alpha_home, alpha_away) -> np.ndarray:
-        """Every log strength in x's layout, the pinned one included."""
-        if self.team_specific:
-            return np.concatenate([alpha_home, alpha_away])
-        return alpha_home
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         value, g, _ = self.evaluate(x)
@@ -388,23 +318,20 @@ class _Problem:
                  ) -> tuple[float, np.ndarray, list[np.ndarray]]:
         """Log likelihood, its gradient and each block's cell probabilities
         at ``x``; ``hessian`` takes the probabilities for the same ``x``."""
-        alpha_home, alpha_away, cdef, slog = self.unpack(x)
+        flat, slog = self.unpack(x)
         block_probs = []
         value = 0.0
-        g_strength = np.zeros(self.n_strength)
-        g_def = np.zeros(self.m)
+        g_team = np.zeros(self.n_team)
+        g_tables = self._tables(g_team)  # views: adding to them fills g_team
         g_struct = {name: 0.0 for name in self.free_structural}
-        ga_home = g_strength[:self.m] if self.team_specific else g_strength
-        ga_away = g_strength[self.m:] if self.team_specific else g_strength
-        for block, obs, mvec, lw, log_z, probs in self._blocks(
-                alpha_home, alpha_away, cdef, slog):
+        for block, obs, mvec, lw, log_z, probs in self._blocks(flat, slog):
             block_probs.append(probs)
             value += float((obs * lw).sum() - mvec @ log_z)
             resid = obs - mvec[None, :] * probs
-            ga_home += np.bincount(self.i_idx, block.home_points @ resid,
-                                   self.m)
-            ga_away += np.bincount(self.j_idx, block.away_points @ resid,
-                                   self.m)
+            g_tables[self.layout.home] += np.bincount(
+                self.i_idx, block.home_points @ resid, self.m)
+            g_tables[self.layout.away] += np.bincount(
+                self.j_idx, block.away_points @ resid, self.m)
             for name, exps in block.structural.items():
                 if name in g_struct:
                     g_struct[name] += float(exps @ resid.sum(axis=1))
@@ -413,16 +340,16 @@ class _Problem:
                     (block.kappa_exp @ resid) @ self.home_mask)
             if block.defence_exp is not None:
                 per_pair = block.defence_exp @ resid
-                g_def += np.bincount(self.i_idx, per_pair, self.m)
-                g_def += np.bincount(self.j_idx, per_pair, self.m)
+                g_defence = g_tables[self.layout.defence]
+                g_defence += np.bincount(self.i_idx, per_pair, self.m)
+                g_defence += np.bincount(self.j_idx, per_pair, self.m)
         if self.w > 0:
-            alpha = self._strength_logs(alpha_home, alpha_away)
+            alpha = flat[:self.n_strength]
             value += float(self.w * (alpha - 2.0
                                      * np.logaddexp(0.0, alpha)).sum())
-            g_strength += self.w * (1.0 - 2.0 * _logistic(alpha))
+            g_team[:self.n_strength] += self.w * (1.0 - 2.0 * _logistic(alpha))
         g = np.concatenate([
-            g_strength[self.pinned:],
-            g_def if self.off_def else np.zeros(0),
+            g_team[self.pinned:],
             np.array([g_struct[name] for name in self.free_structural]),
         ])
         return value, g, block_probs
@@ -430,18 +357,17 @@ class _Problem:
     def _hessian_plan(self) -> _HessianPlan:
         """The part of ``hessian`` that does not depend on ``x``.
 
-        Built on first use, once the layout (``n_free`` and the free
-        structural names) is final, and kept for the problem's lifetime.
+        Built on first use and kept for the problem's lifetime; a fit that
+        stops before its first step never builds it.
         """
         if self._plan is not None:
             return self._plan
         n = self.n_free
-        strength = np.arange(self.n_strength) - self.pinned  # pinned: -1
-        home_pos = strength[:self.m]
-        away_pos = strength[self.m:] if self.team_specific else home_pos
-        base = self.n_strength - self.pinned
-        def_pos = base + np.arange(self.m)
-        struct_pos = {name: base + self.n_def + k
+        # each table's x positions; the pinned entry's is -1
+        table_pos = self._tables(np.arange(self.n_team) - self.pinned)
+        home_pos = table_pos[self.layout.home]
+        away_pos = table_pos[self.layout.away]
+        struct_pos = {name: self.n_team - self.pinned + k
                       for k, name in enumerate(self.free_structural)}
         pairs = len(self.i_idx)
         planned = []  # (exps, products, flat) per block
@@ -450,6 +376,7 @@ class _Problem:
             features = [(block.home_points, home_pos[self.i_idx]),
                         (block.away_points, away_pos[self.j_idx])]
             if block.defence_exp is not None:
+                def_pos = table_pos[self.layout.defence]
                 features += [(block.defence_exp, def_pos[self.i_idx]),
                              (block.defence_exp, def_pos[self.j_idx])]
             for name, exps in block.structural.items():
@@ -499,10 +426,9 @@ class _Problem:
         the sums into the dense matrix; the prior adds its diagonal.
         """
         n = self.n_free
-        alpha_home, alpha_away, cdef, slog = self.unpack(x)
+        flat, slog = self.unpack(x)
         if probs is None:
-            probs = [p for *_, p in self._blocks(alpha_home, alpha_away,
-                                                 cdef, slog)]
+            probs = [p for *_, p in self._blocks(flat, slog)]
         plan = self._hessian_plan()
         sums = np.zeros(len(plan.positions) + 1)
         for (_, _, mvec), (exps, products, slots), p in zip(
@@ -517,8 +443,7 @@ class _Problem:
         hess[plan.positions] = -sums[:-1]
         hess = hess.reshape(n, n)
         if self.w > 0:
-            p = _logistic(self._strength_logs(alpha_home,
-                                              alpha_away)[self.pinned:])
+            p = _logistic(flat[self.pinned:self.n_strength])
             diagonal = np.arange(len(p))
             hess[diagonal, diagonal] -= 2.0 * self.w * p * (1.0 - p)
         return hess
@@ -527,11 +452,10 @@ class _Problem:
 
     def points_totals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Observed and expected league points per team, prior included."""
-        alpha_home, alpha_away, cdef, slog = self.unpack(x)
+        flat, slog = self.unpack(x)
         observed = np.zeros(self.m)
         expected = np.zeros(self.m)
-        for block, obs, mvec, _, _, probs in self._blocks(
-                alpha_home, alpha_away, cdef, slog):
+        for block, obs, mvec, _, _, probs in self._blocks(flat, slog):
             exp_cells = mvec[None, :] * probs
             observed += np.bincount(self.i_idx, block.home_points @ obs,
                                     self.m)
@@ -543,7 +467,7 @@ class _Problem:
                                     self.m)
         if self.w > 0:
             # one notional win and loss per side the team's strength plays
-            p = _logistic(self._strength_logs(alpha_home, alpha_away))
+            p = _logistic(flat[:self.n_strength])
             observed += self.w * (self.n_strength // self.m)
             expected += 2.0 * self.w * p.reshape(-1, self.m).sum(axis=0)
         return observed, expected
@@ -553,10 +477,7 @@ def _full_problem(params: Parameters, counts: OutcomeCounts,
                   prior: PriorConfig, variant: VariantConfig,
                   points: PointsSystem) -> tuple[_Problem, np.ndarray]:
     params.validate(variant)
-    if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        teams = sorted(params.extras.home_strengths)
-    else:
-        teams = sorted(params.strengths)
+    teams = sorted(params.value(parameter_layout(variant).home))
     problem = _Problem.from_counts(teams, counts, variant, prior.weight,
                                    points)
     return problem, problem.pack(params)
@@ -583,27 +504,12 @@ def score(params: Parameters, counts: OutcomeCounts,
     """
     problem, x = _full_problem(params, counts, prior, variant, points)
     _, grad = problem.value_and_grad(x)
-    m = problem.m
-    pos = 0
-    fields: dict = {}
-    if problem.team_specific:
-        fields["home_strengths"] = {t: grad[pos + k]
-                                    for k, t in enumerate(problem.teams)}
-        fields["away_strengths"] = {t: grad[pos + m + k]
-                                    for k, t in enumerate(problem.teams)}
-        pos += 2 * m
-    else:
-        fields["strengths"] = {t: grad[pos + k]
-                               for k, t in enumerate(problem.teams)}
-        pos += m
-    if problem.off_def:
-        fields["delta"] = {t: grad[pos + k]
-                           for k, t in enumerate(problem.teams)}
-        pos += m
-    for name in problem.free_structural:
-        fields[name] = float(grad[pos])
-        pos += 1
-    return Score(**fields)
+    parts: dict = {
+        name: dict(zip(problem.teams, table))
+        for name, table in problem._tables(grad[:problem.n_team]).items()}
+    parts.update(zip(problem.free_structural,
+                     map(float, grad[problem.n_team:])))
+    return Score(**parts)
 
 
 # Halving a step this many times shrinks it below 1e-12 of a Newton step.
@@ -776,16 +682,8 @@ class FittedModel:
 def _check_divergence(normalized: Parameters, variant: VariantConfig,
                       counts: OutcomeCounts, prior_weight: float,
                       iterations: int, grad_norm: float):
-    groups: list[Mapping[str, float]] = []
-    if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        groups += [normalized.extras.home_strengths,
-                   normalized.extras.away_strengths]
-    else:
-        groups.append(normalized.strengths)
-    if variant.try_model is TryModel.OFFENSIVE_DEFENSIVE:
-        groups.append(normalized.extras.delta)
-    for group in groups:
-        for team, value in group.items():
+    for name in parameter_layout(variant).tables:
+        for team, value in normalized.value(name).items():
             if abs(math.log(value)) > _DIVERGENCE_LOG_LIMIT:
                 raise NonConvergenceError(
                     f"strength estimates diverged (team {team!r} at "
@@ -797,18 +695,12 @@ def _check_divergence(normalized: Parameters, variant: VariantConfig,
                 )
 
 
-# rho_d and kappa do not absorb a strength rescale, so freezing them
-# leaves the gauge direction free
-_GAUGE_FIXED_NAMES = frozenset({"rho_d", "kappa"})
-
-
 def _gauge_broken(variant: VariantConfig,
                   freeze: Mapping[str, float] | None) -> bool:
-    """True when a frozen structural parameter pins the strength scale."""
-    if not freeze:
-        return False
-    absorbing = set(_structural_names(variant)) - _GAUGE_FIXED_NAMES
-    return bool(absorbing & set(freeze))
+    """True when a frozen structural parameter pins the strength scale:
+    one of the variant's levels that a strength rescale moves."""
+    return any(GAUGE_POWER[name] != 0 and name in (freeze or {})
+               for name in parameter_layout(variant).structural)
 
 
 def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
@@ -864,8 +756,3 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
         report=report,
     )
 
-
-def freeze_and_refit(counts: OutcomeCounts, fixed: Mapping[str, float],
-                     config: FitConfig = FitConfig()) -> FittedModel:
-    """Refit strengths with the given structural parameters held fixed."""
-    return fit(counts, replace(config, freeze=dict(fixed)))

@@ -21,6 +21,16 @@ Variants swap the try block (a single shared ``tau``, or per-team defensive
 strengths) or the home-advantage treatment (per-team home and away strengths
 instead of pi and kappa, or no home advantage at all).
 
+This module is the one place that knows a variant's parameter layout.
+``parameter_layout`` names its per-team tables (``strengths``, or
+``home_strengths`` and ``away_strengths``, plus ``delta`` when the try block
+reads defensive strengths) and its structural levels: its blocks'
+structural keys, plus ``kappa`` for a single home-advantage factor.
+``GAUGE_POWER`` says how each table and level moves when every strength is
+rescaled by the same factor. Validation, the gauge transform, the fit's
+parameter packing, PPPM, simulation and the CLI all loop over that
+description instead of branching on the variant.
+
 One function, ``log_cell_weights``, builds the log cell weights of a block
 for a whole array of fixtures at once (cells x fixtures). The fit in
 ``estimate``, ``outcome_distribution`` and ``expected_points`` here, PPPM in
@@ -115,6 +125,22 @@ class VariantParameters:
 
 # the structural levels every parameter set carries, whatever the variant
 _LEVELS = ("rho_n", "rho_d", "tau_b", "tau_z", "kappa")
+_OWN_FIELDS = ("strengths",) + _LEVELS
+
+# The power of the strength scale c that each team table and structural
+# level takes when a gauge rescale multiplies every strength by c: the
+# propensities absorb it and no probability changes.
+GAUGE_POWER = {
+    "strengths": 1, "home_strengths": 1, "away_strengths": 1, "delta": 0.5,
+    "rho_n": -1, "rho_d": 0, "tau_b": -1, "tau_z": 1, "tau": -1, "kappa": 0,
+}
+
+
+def _positive(name, value):
+    if not (isinstance(value, (int, float)) and math.isfinite(value)
+            and value > 0):
+        raise ParameterError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,46 +156,43 @@ class Parameters:
     extras: VariantParameters | None = None
 
     def validate(self, variant: VariantConfig = DEFAULT_VARIANT):
-        def _positive(name, value):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
-                raise ParameterError(f"{name} must be positive and finite, "
-                                     f"got {value!r}")
+        layout = parameter_layout(variant)
+        for name in dict.fromkeys(_LEVELS + layout.structural):
+            _positive(name, self._required(name, variant))
+        first = self._required(layout.tables[0], variant)
+        for name in layout.tables:
+            table = self._required(name, variant)
+            if set(table) != set(first):
+                raise ParameterError(f"{name} must cover the same teams as "
+                                     f"{layout.tables[0]}")
+            for team, value in table.items():
+                _positive(f"{name} of {team}", value)
 
-        for name in _LEVELS:
-            _positive(name, getattr(self, name))
-        if variant.home_model is HomeModel.TEAM_SPECIFIC:
-            extras = self.extras
-            if extras is None or extras.home_strengths is None \
-                    or extras.away_strengths is None:
-                raise ParameterError("team-specific variant needs home and "
-                                     "away strengths")
-            if set(extras.home_strengths) != set(extras.away_strengths):
-                raise ParameterError("home and away strengths must cover the "
-                                     "same teams")
-            for team, value in extras.home_strengths.items():
-                _positive(f"home strength of {team}", value)
-            for team, value in extras.away_strengths.items():
-                _positive(f"away strength of {team}", value)
-        else:
-            for team, value in self.strengths.items():
-                _positive(f"strength of {team}", value)
-        if variant.try_model is TryModel.OPPOSITION_INDEPENDENT:
-            if self.extras is None or self.extras.tau is None:
-                raise ParameterError("opposition-independent variant needs tau")
-            _positive("tau", self.extras.tau)
-        if variant.try_model is TryModel.OFFENSIVE_DEFENSIVE:
-            if self.extras is None or self.extras.delta is None:
-                raise ParameterError("offensive-defensive variant needs delta")
-            if set(self.extras.delta) != set(self.strengths):
-                raise ParameterError("delta must cover the same teams as "
-                                     "strengths")
-            for team, value in self.extras.delta.items():
-                _positive(f"delta of {team}", value)
+    def _required(self, name: str, variant: VariantConfig):
+        value = self.value(name)
+        if value is None:
+            raise ParameterError(f"the {variant.try_model.value} / "
+                                 f"{variant.home_model.value} variant needs "
+                                 f"{name}")
+        return value
 
-    def structural(self, name: str) -> float:
-        """One structural parameter by name; ``tau`` lives in the extras."""
-        return self.extras.tau if name == "tau" else getattr(self, name)
+    def value(self, name: str):
+        """One team table or structural level by name; None when the
+        parameters do not carry it."""
+        if name in _OWN_FIELDS:
+            return getattr(self, name)
+        return None if self.extras is None else getattr(self.extras, name)
+
+    def with_values(self, values: Mapping[str, object]) -> "Parameters":
+        """A copy with the named team tables and structural levels
+        replaced; the variant extras are created when first needed."""
+        own = {name: v for name, v in values.items() if name in _OWN_FIELDS}
+        extra = {name: v for name, v in values.items()
+                 if name not in _OWN_FIELDS}
+        extras = self.extras
+        if extra:
+            extras = replace(extras or VariantParameters(), **extra)
+        return replace(self, extras=extras, **own)
 
     def to_dict(self) -> dict:
         """JSON form: strengths, structural levels and their logs, and the
@@ -255,6 +278,59 @@ def try_block(variant: VariantConfig = DEFAULT_VARIANT) -> OutcomeBlock:
                         defence_exp=1.0 - home - away)
 
 
+@dataclass(frozen=True)
+class ParameterLayout:
+    """Where a variant keeps its parameters, in the order a fit packs them.
+
+    strength_tables  per-team strength tables, the home side's first and
+                     the away side's last (one table serves both sides)
+    defence          the per-team defensive table, when a block reads one
+    structural       the blocks' structural keys, plus kappa for a single
+                     home-advantage factor
+    """
+
+    strength_tables: tuple[str, ...]
+    defence: str | None
+    structural: tuple[str, ...]
+
+    @property
+    def home(self) -> str:
+        return self.strength_tables[0]
+
+    @property
+    def away(self) -> str:
+        return self.strength_tables[-1]
+
+    @property
+    def tables(self) -> tuple[str, ...]:
+        """Every per-team table: the strength tables, then the defence."""
+        return self.strength_tables + ((self.defence,) if self.defence
+                                       else ())
+
+    @classmethod
+    def of(cls, variant: VariantConfig,
+           blocks: Sequence[OutcomeBlock]) -> "ParameterLayout":
+        """The layout of a variant whose fixtures these blocks describe."""
+        if variant.home_model is HomeModel.TEAM_SPECIFIC:
+            strength_tables = ("home_strengths", "away_strengths")
+        else:
+            strength_tables = ("strengths",)
+        defended = any(block.defence_exp is not None for block in blocks)
+        structural = tuple(dict.fromkeys(
+            name for block in blocks for name in block.structural))
+        if variant.home_model is HomeModel.SINGLE_KAPPA:
+            structural += ("kappa",)
+        return cls(strength_tables, "delta" if defended else None,
+                   structural)
+
+
+@lru_cache(maxsize=None)
+def parameter_layout(variant: VariantConfig = DEFAULT_VARIANT
+                     ) -> ParameterLayout:
+    """The layout of a variant's own result and try blocks."""
+    return ParameterLayout.of(variant, (result_block(), try_block(variant)))
+
+
 def log_cell_weights(block: OutcomeBlock, log_pi_home: np.ndarray,
                      log_pi_away: np.ndarray,
                      log_structural: Mapping[str, float],
@@ -295,28 +371,20 @@ def _kernel_arguments(params: Parameters, home: Sequence[str],
                       variant: VariantConfig) -> tuple:
     """Map parameters onto ``log_cell_weights``'s per-fixture arguments.
 
-    Team-specific home advantage reads each side's strength from its own
-    table; only the single-kappa variant applies kappa.
+    Each side's strength comes from the layout's home or away table; kappa
+    applies only where the layout has it.
     """
-    if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        home_side = params.extras.home_strengths
-        away_side = params.extras.away_strengths
-    else:
-        home_side = away_side = params.strengths
-    log_structural = {name: math.log(getattr(params, name))
-                      for name in ("rho_n", "rho_d", "tau_b", "tau_z")}
-    if params.extras is not None and params.extras.tau is not None:
-        log_structural["tau"] = math.log(params.extras.tau)
-    log_kappa = 0.0
-    if variant.home_model is HomeModel.SINGLE_KAPPA:
-        log_kappa = math.log(params.kappa)
+    layout = parameter_layout(variant)
+    log_structural = {name: math.log(params.value(name))
+                      for name in layout.structural}
     at_home = np.array([v is Venue.HOME_GROUND for v in venue], dtype=float)
     defence_sum = None
-    if variant.try_model is TryModel.OFFENSIVE_DEFENSIVE:
-        defence_sum = (_team_logs(params.extras.delta, home)
-                       + _team_logs(params.extras.delta, away))
-    return (_team_logs(home_side, home), _team_logs(away_side, away),
-            log_structural, log_kappa * at_home, defence_sum)
+    if layout.defence:
+        defence = params.value(layout.defence)
+        defence_sum = _team_logs(defence, home) + _team_logs(defence, away)
+    return (_team_logs(params.value(layout.home), home),
+            _team_logs(params.value(layout.away), away), log_structural,
+            log_structural.get("kappa", 0.0) * at_home, defence_sum)
 
 
 @dataclass(frozen=True)
@@ -388,42 +456,6 @@ def expected_points(params: Parameters, home: str | Sequence[str],
     return home_exp, away_exp
 
 
-def _pair(params: Parameters, pi_home: float, pi_away: float,
-          defence_home: float | None = None,
-          defence_away: float | None = None) -> Parameters:
-    """``params`` with teams "home" and "away" at the given strengths, in
-    every variant's strength tables."""
-    sides = {"home": pi_home, "away": pi_away}
-    extras = replace(params.extras or VariantParameters(),
-                     home_strengths=sides, away_strengths=sides,
-                     delta={"home": defence_home, "away": defence_away})
-    return replace(params, strengths=sides, extras=extras)
-
-
-def result_probs(pi_home: float, pi_away: float, params: Parameters,
-                 at_home: bool = True,
-                 points: PointsSystem = DEFAULT_POINTS) -> np.ndarray:
-    """Result-cell probabilities in RESULT_ORDER."""
-    venue = Venue.HOME_GROUND if at_home else Venue.NEUTRAL
-    return outcome_distribution(_pair(params, pi_home, pi_away), "home",
-                                "away", venue=venue, points=points).result
-
-
-def try_probs(pi_home: float, pi_away: float, params: Parameters,
-              at_home: bool = True,
-              variant: VariantConfig = DEFAULT_VARIANT,
-              defence_home: float | None = None,
-              defence_away: float | None = None) -> np.ndarray:
-    """Try-cell probabilities in TRY_ORDER."""
-    if variant.try_model is TryModel.OFFENSIVE_DEFENSIVE and (
-            defence_home is None or defence_away is None):
-        raise ParameterError("offensive-defensive try probabilities need "
-                             "both defensive strengths")
-    pair = _pair(params, pi_home, pi_away, defence_home, defence_away)
-    venue = Venue.HOME_GROUND if at_home else Venue.NEUTRAL
-    return outcome_distribution(pair, "home", "away", variant, venue).tries
-
-
 @dataclass(frozen=True)
 class OutcomeRates:
     """Headline probabilities for a fixture between two mean-strength teams."""
@@ -466,8 +498,8 @@ def interpret_structural(params: Parameters,
     for a neutral fixture, because the narrow/draw/bonus shares shift
     slightly once kappa is in play.
     """
-    dist = outcome_distribution(_pair(params, 1.0, 1.0), ["home"] * 2,
-                                ["away"] * 2,
+    pair = replace(params, strengths={"home": 1.0, "away": 1.0})
+    dist = outcome_distribution(pair, ["home"] * 2, ["away"] * 2,
                                 venue=[Venue.HOME_GROUND, Venue.NEUTRAL],
                                 points=points)
     return StructuralInterpretation(
@@ -476,37 +508,39 @@ def interpret_structural(params: Parameters,
     )
 
 
-def gauge_transform(params: Parameters, c: float) -> Parameters:
+def _rescaled(value: float, power: float, c: float) -> float:
+    """``value * c ** power`` for the powers in GAUGE_POWER."""
+    if power < 0:
+        return value / c ** -power
+    if power == 0.5:
+        return math.sqrt(c) * value
+    return c ** power * value
+
+
+def gauge_transform(params: Parameters, c: float,
+                    variant: VariantConfig = DEFAULT_VARIANT) -> Parameters:
     """Rescale all strengths by ``c`` without changing any probability.
 
-    The propensity parameters absorb the rescaling: rho_n, tau_b (and the
-    shared tau) divide by c, tau_z multiplies by c, defensive strengths
-    scale by sqrt(c), and rho_d and kappa are untouched.
+    Each team table and structural level of the variant's layout moves by
+    ``c`` to its power in GAUGE_POWER: rho_n, tau_b and the shared tau
+    divide by c, tau_z multiplies by c, defensive strengths scale by
+    sqrt(c), and rho_d and kappa are untouched. Levels outside the layout
+    stay as they are.
     """
     if not (math.isfinite(c) and c > 0):
         raise ParameterError(f"scale must be positive and finite, got {c!r}")
-    extras = params.extras
-    if extras is not None:
-        new_extras = VariantParameters(
-            tau=None if extras.tau is None else extras.tau / c,
-            delta=None if extras.delta is None else
-            {team: math.sqrt(c) * value for team, value in extras.delta.items()},
-            home_strengths=None if extras.home_strengths is None else
-            {team: c * value for team, value in extras.home_strengths.items()},
-            away_strengths=None if extras.away_strengths is None else
-            {team: c * value for team, value in extras.away_strengths.items()},
-        )
-    else:
-        new_extras = None
-    return Parameters(
-        strengths={team: c * value for team, value in params.strengths.items()},
-        rho_n=params.rho_n / c,
-        rho_d=params.rho_d,
-        tau_b=params.tau_b / c,
-        tau_z=params.tau_z * c,
-        kappa=params.kappa,
-        extras=new_extras,
-    )
+    layout = parameter_layout(variant)
+    moved = {}
+    for name in layout.tables + layout.structural:
+        value, power = params.value(name), GAUGE_POWER[name]
+        if power == 0:
+            continue
+        if isinstance(value, Mapping):
+            moved[name] = {team: _rescaled(v, power, c)
+                           for team, v in value.items()}
+        else:
+            moved[name] = _rescaled(value, power, c)
+    return params.with_values(moved)
 
 
 def _strength_values(values) -> list[float]:
@@ -571,28 +605,11 @@ def solve_scale(strengths, rel_tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def arithmetic_normalize(strengths: Mapping[str, float]) -> dict[str, float]:
-    """Rescale strengths to arithmetic mean 1; fails on unbounded values."""
-    values = list(strengths.values())
-    if not values:
-        raise ValueError("no strengths supplied")
-    if any(math.isinf(v) for v in values):
-        raise ValueError("an arithmetic mean of 1 is unreachable with an "
-                         "unbounded strength; use the generalized mean")
-    mean = sum(values) / len(values)
-    if mean <= 0:
-        raise ValueError("mean strength must be positive")
-    return {team: value / mean for team, value in strengths.items()}
-
-
 def normalize_parameters(params: Parameters,
                          variant: VariantConfig = DEFAULT_VARIANT) -> Parameters:
-    """Gauge-rescale so the generalized mean of the strengths is 1."""
-    if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        pool = list(params.extras.home_strengths.values())
-        pool += list(params.extras.away_strengths.values())
-        c = solve_scale(pool)
-    else:
-        c = solve_scale(params.strengths)
-    return gauge_transform(params, c)
+    """Gauge-rescale so the generalized mean of the strengths, over every
+    strength table of the variant pooled, is 1."""
+    pool = [value for name in parameter_layout(variant).strength_tables
+            for value in params.value(name).values()]
+    return gauge_transform(params, solve_scale(pool), variant)
 

@@ -34,10 +34,10 @@ from .domain import (
 from .estimate import FittedModel
 from .model import (
     DEFAULT_VARIANT,
-    HomeModel,
     Parameters,
     VariantConfig,
     expected_points,
+    parameter_layout,
 )
 
 
@@ -147,10 +147,7 @@ def pppm(source: FittedModel | Parameters, *,
     league points per fixture is the schedule-corrected rating.
     """
     params, variant, points = _model_parts(source, variant, points)
-    if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        teams = sorted(params.extras.home_strengths)
-    else:
-        teams = sorted(params.strengths)
+    teams = sorted(params.value(parameter_layout(variant).home))
     if len(teams) < 2:
         raise ValueError("a rating needs at least two teams")
     m = len(teams)
@@ -309,20 +306,6 @@ def build_table(metric_values: Mapping[str, float],
                             record.league_points, record.lppm))
     return RankingTable(rows=tuple(rows), method=method,
                         min_matches=min_matches)
-
-
-def competition_ranks(metric_values: Mapping[str, float]) -> dict[str, int]:
-    """Competition ("1224") ranks for every team, highest value first."""
-    ordered = sorted(metric_values, key=lambda t: (-metric_values[t], t))
-    ranks: dict[str, int] = {}
-    for position, team in enumerate(ordered):
-        previous = ordered[position - 1] if position else None
-        if previous is not None and \
-                metric_values[team] == metric_values[previous]:
-            ranks[team] = ranks[previous]
-        else:
-            ranks[team] = position + 1
-    return ranks
 
 
 PREV_RANKS_HEADER = ("team", "previous_rank")

@@ -29,7 +29,7 @@ import math
 import operator
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -45,19 +45,14 @@ from .domain import (
     TryOutcome,
     Venue,
 )
-from .estimate import (
-    FitConfig,
-    NonConvergenceError,
-    _structural_names,
-    fit,
-)
+from .estimate import FitConfig, NonConvergenceError, fit
 from .model import (
     DEFAULT_VARIANT,
-    HomeModel,
     Parameters,
     VariantConfig,
     normalize_parameters,
     outcome_distribution,
+    parameter_layout,
 )
 
 
@@ -102,27 +97,12 @@ def parse_fixtures_csv(text: str) -> list[Fixture]:
     return fixtures
 
 
-def write_fixtures_csv(fixtures: Iterable[Fixture]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FIXTURES_HEADER)
-    for fixture in fixtures:
-        writer.writerow([fixture.home_team, fixture.away_team,
-                         fixture.venue.value])
-    return buf.getvalue()
-
-
 def double_round_robin(teams: Sequence[str]) -> list[Fixture]:
     """Every ordered pair once: one home and one away leg per pair."""
     if len(set(teams)) != len(teams):
         raise ValueError("duplicate team names in the fixture list")
     return [Fixture(home, away)
             for home in teams for away in teams if home != away]
-
-
-def mirror_fixtures(fixtures: Iterable[Fixture]) -> list[Fixture]:
-    """The same fixtures with home and away swapped."""
-    return [Fixture(f.away_team, f.home_team, f.venue) for f in fixtures]
 
 
 def fixture_rng(seed: int, replicate: int,
@@ -290,15 +270,8 @@ def simulate_season(params: Parameters, fixtures: Sequence[Fixture],
 
 def _structural_values(params: Parameters,
                        variant: VariantConfig) -> dict[str, float]:
-    return {name: params.structural(name)
-            for name in _structural_names(variant)}
-
-
-def _strength_map(params: Parameters,
-                  variant: VariantConfig) -> Mapping[str, float]:
-    if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        return params.extras.home_strengths
-    return params.strengths
+    return {name: params.value(name)
+            for name in parameter_layout(variant).structural}
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -427,7 +400,8 @@ def recovery_study(truth: Parameters, fixtures: Sequence[Fixture],
         raise ValueError("need at least one replicate")
     variant = fit_config.variant
     truth = normalize_parameters(truth, variant)
-    truth_strengths = _strength_map(truth, variant)
+    home_table = parameter_layout(variant).home
+    truth_strengths = truth.value(home_table)
     # only teams that actually play get estimates, so the recovery is
     # scored over the fixture list's team set
     teams = sorted({team for f in fixtures
@@ -449,7 +423,7 @@ def recovery_study(truth: Parameters, fixtures: Sequence[Fixture],
                                            False))
             continue
         estimates = _structural_values(fitted.parameters, variant)
-        est_strengths = _strength_map(fitted.parameters, variant)
+        est_strengths = fitted.parameters.value(home_table)
         est_logs = np.log([est_strengths[t] for t in teams])
         rho = spearman(truth_order, _merge_ties(est_logs, tie_width))
         degenerate = math.isnan(rho)  # one side's strengths all tied

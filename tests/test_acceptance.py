@@ -38,8 +38,10 @@ from scrumrank.ingest import (
     write_cleaned_csv,
 )
 from scrumrank.model import (
+    HomeModel,
     OutcomeBlock,
     Parameters,
+    VariantConfig,
     gauge_transform,
     generalized_mean,
     interpret_structural,
@@ -144,11 +146,12 @@ def test_criterion_04_entropy_maximizer_agrees_with_mle():
         kappa_exp=np.array([1.0, -1.0]),
     )
     observed = np.array([[2.0, 1.0, 2.0], [0.0, 1.0, 0.0]])
-    problem = _Problem.from_blocks(
-        ["A", "B", "C"], [(0, 1, False), (0, 2, False), (1, 2, False)],
-        [(binary, observed)], pin_first=True)
-    problem.free_structural = []  # the binary block has no propensities
-    problem.n_free = problem.n_strength - problem.pinned
+    # three pairs at neutral grounds; the binary block has no propensities
+    # and no home advantage applies, so only the strengths are free
+    problem = _Problem(
+        ["A", "B", "C"], np.array([0, 0, 1]), np.array([1, 2, 2]),
+        np.zeros(3), [(binary, observed)],
+        VariantConfig(home_model=HomeModel.NONE), 0.0, pin_first=True)
     result = minimize(problem, np.zeros(problem.n_free), 1e-12, 500)
     grad_inf, converged = result.grad_inf, result.converged
     strengths = np.exp(np.concatenate([[0.0], result.x]))

@@ -293,6 +293,24 @@ def test_simulate_unknown_fixture_team_exit_two(tmp_path, capsys):
     assert "Nobody" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["opposition-dependent",
+                                     "team-specific"])
+def test_simulate_unknown_fixture_team_writes_nothing(tmp_path, capsys,
+                                                      variant):
+    _, model = _fit_model(tmp_path, "--variant", variant)
+    fixtures = tmp_path / "fixtures.csv"
+    fixtures.write_text("home_team,away_team,venue\nAshwood,Carrick,\n"
+                        "Carrick,Nobody,\n")
+    report = tmp_path / "report.csv"
+    capsys.readouterr()
+    code = main(["simulate", str(model), str(fixtures), str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixtures mention 'Nobody'")
+    assert not report.exists()
+    assert not (tmp_path / "simulate_manifest.json").exists()
+
+
 def test_simulate_negative_seed_names_the_flag(tmp_path, capsys):
     params = _bare_params(tmp_path)
     fixtures = tmp_path / "fixtures.csv"

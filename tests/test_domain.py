@@ -15,7 +15,6 @@ from scrumrank.domain import (
     classify_result,
     classify_try,
     league_points,
-    match_league_points,
     outcome_counts,
     result_points_arrays,
     sufficient_stats,
@@ -128,11 +127,11 @@ def test_override_must_be_narrow():
                                       TryOutcome.ZERO_BONUS)
 
 
-def test_match_league_points_examples():
+def test_league_points_of_classified_matches():
     record = MatchRecord("A", "B", 31, 5, 4, 1)
-    assert match_league_points(record) == (5, 0)
+    assert league_points(*classify_match(record)) == (5, 0)
     narrow = MatchRecord("A", "B", 18, 22, 2, 4)
-    assert match_league_points(narrow) == (1, 5)
+    assert league_points(*classify_match(narrow)) == (1, 5)
 
 
 def test_outcome_counts_add_and_validate():

@@ -25,7 +25,6 @@ from scrumrank.estimate import (
     _log_normalizer,
     _Problem,
     fit,
-    freeze_and_refit,
     log_likelihood,
     score,
 )
@@ -40,6 +39,7 @@ from scrumrank.model import (
     VariantParameters,
     generalized_mean,
     outcome_distribution,
+    parameter_layout,
 )
 from scrumrank.simulate import double_round_robin, simulate_season
 
@@ -270,18 +270,54 @@ def test_iteration_budget_failure_reports_diagnostics():
     assert err.value.iterations <= 1
 
 
-def test_freeze_and_refit_holds_structural_values():
+def test_frozen_fit_holds_structural_values():
     counts = outcome_counts(load_matches(DATA / "golden_season.csv").records)
     fixed = {"rho_n": 0.448, "rho_d": 0.212, "tau_b": 0.042,
              "tau_z": 2.801, "kappa": 1.113}
-    model = freeze_and_refit(counts, fixed,
-                             FitConfig(prior=PriorConfig(weight=1.0)))
+    model = fit(counts, FitConfig(prior=PriorConfig(weight=1.0),
+                                  freeze=fixed))
     raw = model.raw_parameters
     for name, value in fixed.items():
         assert getattr(raw, name) == value
     # strengths still reach their own optimum given the frozen block
     s = score(raw, counts, prior=PriorConfig(weight=1.0))
     assert max(abs(v) for v in s.strengths.values()) <= 1e-6
+
+
+@pytest.mark.parametrize("try_model", [TryModel.OPPOSITION_INDEPENDENT,
+                                       TryModel.OFFENSIVE_DEFENSIVE])
+@pytest.mark.parametrize("weight", [0.0, 1.0])
+def test_fit_leaves_levels_outside_the_variant_at_one(try_model, weight):
+    model = fit(_golden_counts(), FitConfig(
+        variant=VariantConfig(try_model=try_model),
+        prior=PriorConfig(weight=weight)))
+    for params in (model.parameters, model.raw_parameters):
+        assert params.tau_b == params.tau_z == 1.0
+        doc = params.to_dict()
+        assert doc["log"]["tau_b"] == doc["log"]["tau_z"] == 0.0
+
+
+@pytest.mark.parametrize("variant, freeze", [
+    *((variant, None) for variant in ALL_VARIANTS),
+    (DEFAULT_VARIANT, "rho_d"),
+], ids=lambda v: v if isinstance(v, str) or v is None
+    else f"{v.home_model.value}/{v.try_model.value}")
+def test_pack_and_x_to_parameters_round_trip(variant, freeze):
+    teams = ["A", "B", "C"]
+    params = _random_params(np.random.default_rng(53), teams, variant)
+    frozen = None if freeze is None else {freeze: params.value(freeze)}
+    problem = _Problem.from_counts(teams, OutcomeCounts(), variant, 0.0,
+                                   DEFAULT_POINTS, freeze=frozen)
+    again = problem.x_to_parameters(problem.pack(params))
+    layout = parameter_layout(variant)
+    for name in layout.tables:
+        assert again.value(name).keys() == params.value(name).keys()
+        for team, value in params.value(name).items():
+            assert math.isclose(again.value(name)[team], value,
+                                rel_tol=1e-15, abs_tol=0)
+    for name in layout.structural:
+        assert math.isclose(again.value(name), params.value(name),
+                            rel_tol=1e-15, abs_tol=0)
 
 
 def test_freeze_rejects_unknown_or_invalid_names():

@@ -22,7 +22,6 @@ from scrumrank.model import (
     TryModel,
     VariantConfig,
     VariantParameters,
-    arithmetic_normalize,
     expected_points,
     gauge_transform,
     generalized_mean,
@@ -30,10 +29,10 @@ from scrumrank.model import (
     log_cell_weights,
     normalize_parameters,
     outcome_distribution,
+    parameter_layout,
     result_block,
-    result_probs,
     solve_scale,
-    try_probs,
+    try_block,
 )
 
 REFERENCE_MEANS = dict(rho_n=0.448, rho_d=0.212, tau_b=0.042, tau_z=2.801,
@@ -81,22 +80,22 @@ def _result_log_weights(pi_i, pi_j, params):
                             np.array([math.log(params.kappa)]), None)[:, 0]
 
 
-def test_result_probs_form_a_distribution():
+def test_result_cells_form_a_distribution():
     params = _params({"A": 1.4, "B": 0.8})
-    probs = result_probs(1.4, 0.8, params)
+    probs = outcome_distribution(params, "A", "B").result
     assert probs.shape == (5,)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert (probs > 0).all()
 
 
-def test_try_probs_form_a_distribution():
+def test_try_cells_form_a_distribution():
     params = _params({"A": 1.4, "B": 0.8})
-    probs = try_probs(1.4, 0.8, params)
+    probs = outcome_distribution(params, "A", "B").tries
     assert abs(probs.sum() - 1.0) < 1e-12
     assert (probs > 0).all()
 
 
-def test_result_probs_match_direct_weight_ratios():
+def test_result_cells_match_direct_weight_ratios():
     # unnormalized cell weights written out longhand
     pi_i, pi_j, kappa = 1.3, 0.7, 1.1
     params = _params({"A": pi_i, "B": pi_j}, kappa=kappa)
@@ -109,13 +108,13 @@ def test_result_probs_match_direct_weight_ratios():
         pi_j ** 4 / kappa ** 4,
     ])
     expected = weights / weights.sum()
-    got = result_probs(pi_i, pi_j, params)
+    got = outcome_distribution(params, "A", "B").result
     assert np.allclose(got, expected, rtol=1e-12, atol=0)
     level = np.exp(_result_log_weights(pi_i, pi_j, params))
     assert np.allclose(level, weights, rtol=1e-12, atol=0)
 
 
-def test_try_probs_match_direct_weight_ratios():
+def test_try_cells_match_direct_weight_ratios():
     pi_i, pi_j, kappa = 1.3, 0.7, 1.1
     params = _params({"A": pi_i, "B": pi_j}, kappa=kappa)
     weights = np.array([
@@ -125,23 +124,25 @@ def test_try_probs_match_direct_weight_ratios():
         params.tau_z,
     ])
     expected = weights / weights.sum()
-    assert np.allclose(try_probs(pi_i, pi_j, params), expected,
-                       rtol=1e-12, atol=0)
+    assert np.allclose(outcome_distribution(params, "A", "B").tries,
+                       expected, rtol=1e-12, atol=0)
 
 
 def test_neutral_venue_drops_home_advantage():
     params = _params({"A": 1.0, "B": 1.0})
-    neutral = result_probs(1.0, 1.0, params, at_home=False)
+    neutral = outcome_distribution(params, "A", "B",
+                                   venue=Venue.NEUTRAL).result
     # equal teams on a neutral ground: exact home/away symmetry
     assert abs(neutral[0] - neutral[4]) < 1e-15
     assert abs(neutral[1] - neutral[3]) < 1e-15
-    at_home = result_probs(1.0, 1.0, params, at_home=True)
+    at_home = outcome_distribution(params, "A", "B",
+                                   venue=Venue.HOME_GROUND).result
     assert at_home[0] > at_home[4]
 
 
 def test_probabilities_never_overflow_but_weights_can():
     params = _params({"A": 1e120, "B": 1.0})
-    probs = result_probs(1e120, 1.0, params)
+    probs = outcome_distribution(params, "A", "B").result
     assert np.isfinite(probs).all()
     # both home-win cells keep the pi_i^4 factor, so it is their sum
     # that approaches 1; their ratio stays rho_n * pi_j / kappa
@@ -154,9 +155,10 @@ def test_probabilities_never_overflow_but_weights_can():
 
 
 def test_stronger_home_team_shifts_mass_to_wide_win():
-    params = _params({"A": 1.0, "B": 1.0})
-    weak = result_probs(0.9, 1.0, params)
-    strong = result_probs(1.8, 1.0, params)
+    weak = outcome_distribution(_params({"A": 0.9, "B": 1.0}), "A",
+                                "B").result
+    strong = outcome_distribution(_params({"A": 1.8, "B": 1.0}), "A",
+                                  "B").result
     assert strong[0] > weak[0]
     assert strong[4] < weak[4]
 
@@ -198,7 +200,7 @@ def test_gauge_transform_preserves_all_joint_probabilities():
         variant = variants[trial % len(variants)]
         params = _random_params(rng, ("A", "B"), variant)
         c = float(np.exp(rng.normal(0, 1.0)))
-        scaled = gauge_transform(params, c)
+        scaled = gauge_transform(params, c, variant)
         for venue in (Venue.HOME_GROUND, Venue.NEUTRAL):
             before = outcome_distribution(params, "A", "B", variant, venue)
             after = outcome_distribution(scaled, "A", "B", variant, venue)
@@ -249,13 +251,6 @@ def test_solve_scale_failure_modes():
         solve_scale([0.0, 0.0])
     with pytest.raises(ValueError):
         solve_scale([])
-
-
-def test_arithmetic_normalize():
-    normalized = arithmetic_normalize({"A": 2.0, "B": 4.0})
-    assert normalized == {"A": 2.0 / 3.0, "B": 4.0 / 3.0}
-    with pytest.raises(ValueError):
-        arithmetic_normalize({"A": math.inf, "B": 1.0})
 
 
 def test_normalize_parameters_reaches_unit_mean_and_keeps_probs():
@@ -325,7 +320,7 @@ def test_opposition_independent_try_block_is_two_coin_flips():
     params = Parameters(strengths={"A": pi_i, "B": pi_j}, rho_n=0.4,
                         rho_d=0.2, tau_b=1.0, tau_z=1.0, kappa=kappa,
                         extras=VariantParameters(tau=tau))
-    probs = try_probs(pi_i, pi_j, params, variant=variant)
+    probs = outcome_distribution(params, "A", "B", variant).tries
     p_home = tau * kappa * pi_i / (1 + tau * kappa * pi_i)
     p_away = (tau * pi_j / kappa) / (1 + tau * pi_j / kappa)
     expected = np.array([
@@ -345,8 +340,7 @@ def test_offensive_defensive_try_block_weights():
                         rho_d=0.2, tau_b=1.0, tau_z=1.0, kappa=1.0,
                         extras=VariantParameters(delta={"A": delta_i,
                                                         "B": delta_j}))
-    probs = try_probs(pi_i, pi_j, params, variant=variant,
-                      defence_home=delta_i, defence_away=delta_j)
+    probs = outcome_distribution(params, "A", "B", variant).tries
     dd = delta_i * delta_j
     weights = np.array([pi_i * pi_j / dd, pi_i, pi_j, dd])
     assert np.allclose(probs, weights / weights.sum(), rtol=1e-12, atol=0)
@@ -372,8 +366,9 @@ def test_team_specific_home_model_uses_side_strengths():
 def test_custom_points_system_changes_exponents():
     points = PointsSystem(win_points=3, draw_points=1, loss_points=0)
     params = _params({"A": 2.0, "B": 0.5})
-    default_probs = result_probs(2.0, 0.5, params)
-    custom_probs = result_probs(2.0, 0.5, params, points=points)
+    default_probs = outcome_distribution(params, "A", "B").result
+    custom_probs = outcome_distribution(params, "A", "B",
+                                        points=points).result
     assert not np.allclose(default_probs, custom_probs)
 
 
@@ -422,3 +417,20 @@ def test_parameters_and_variant_json_round_trip():
     with pytest.raises(ValueError, match="missing kappa"):
         Parameters.from_dict({"strengths": {}, "rho_n": 1.0, "rho_d": 1.0,
                               "tau_b": 1.0, "tau_z": 1.0})
+
+
+def test_structural_names_come_from_the_variants_blocks():
+    expected = {
+        "opposition-dependent": ("rho_n", "rho_d", "tau_b", "tau_z",
+                                 "kappa"),
+        "opposition-independent": ("rho_n", "rho_d", "tau", "kappa"),
+        "offensive-defensive": ("rho_n", "rho_d", "kappa"),
+        "team-specific": ("rho_n", "rho_d", "tau_b", "tau_z"),
+    }
+    for label, variant in VARIANTS.items():
+        names = (tuple(result_block().structural)
+                 + tuple(try_block(variant).structural))
+        if variant.home_model is HomeModel.SINGLE_KAPPA:
+            names += ("kappa",)
+        assert parameter_layout(variant).structural == names
+        assert names == expected[label]

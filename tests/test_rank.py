@@ -16,7 +16,6 @@ from scrumrank.rank import (
     TeamRecord,
     build_table,
     compare_rankings,
-    competition_ranks,
     lppm,
     merit_points,
     playing_records,
@@ -255,11 +254,6 @@ def test_table_json_round_trips_values():
     assert doc["method"] == "PPPM"
     assert doc["rows"][0]["team"] == "A"
     assert doc["rows"][0]["qualified"] is True
-
-
-def test_competition_ranks_shares_and_skips():
-    ranks = competition_ranks({"A": 3.0, "B": 2.0, "C": 2.0, "D": 1.0})
-    assert ranks == {"A": 1, "B": 2, "C": 2, "D": 4}
 
 
 def test_read_previous_ranks():
