@@ -28,11 +28,22 @@ steps reach the gradient tolerance.
 
 The Hessian comes in two parts. A plan, built once per problem, holds what
 the parameters do not change: each block's feature exponents and their
-pairwise products, and the slot of every per-pair covariance entry among
-the matrix's non-zero positions. Each step then reuses the cell
-probabilities of the evaluation at its iterate, forms the covariances with
-two small matrix products per block, sums them per slot with one bincount
-and scatters the sums into the dense matrix for the solve.
+pairwise products, the slot of every per-pair covariance entry among the
+matrix's non-zero positions, and an elimination order. Each step then
+reuses the cell probabilities of the evaluation at its iterate, forms the
+covariances with two small matrix products per block and sums them per
+slot with one bincount.
+
+A team's parameters interact only with those of the opponents it played,
+so outside the few structural parameters (the border) the Hessian is the
+sparse pattern of the schedule graph. The plan orders the team parameters
+by breadth-first level sets of that graph (Cuthill & McKee 1969), which
+makes the matrix block tridiagonal with the border appended, and each step
+solves for its direction by block elimination (George & Liu 1981): one
+small dense solve per block, so the cost grows with the number of teams
+and the size of a level rather than with the cube of the parameter count.
+With one strength table, a double round robin has a single level beyond
+its first team and plans one block, which is one dense solve.
 """
 
 from __future__ import annotations
@@ -170,17 +181,75 @@ class Score:
 
 @dataclass(frozen=True)
 class _HessianPlan:
-    """What ``_Problem.hessian`` needs that does not depend on ``x``.
+    """What ``_Problem.hessian`` and ``_Problem.newton_direction`` need that
+    does not depend on ``x``.
 
     ``positions`` are the sorted flat positions of the Hessian's non-zero
-    entries. Each block has its local features' cell exponents (cells x k),
-    their pairwise products (cells x k*k) and, for every covariance entry
-    (k*k x pairs, flattened), its slot in ``positions``; a dropped entry's
-    slot is ``len(positions)``.
+    entries, the whole diagonal included, and ``prior_slots`` the indices
+    among them of the strengths' diagonal. Each block has its local
+    features' cell exponents (cells x k), their pairwise products
+    (cells x k*k) and, for every covariance entry (k*k x pairs, flattened),
+    its slot in ``positions``; a dropped entry's slot is ``len(positions)``.
+
+    ``order`` lists the x index of each row in elimination order, and
+    elimination block ``b`` is rows ``bounds[b]:bounds[b + 1]`` of that
+    order; ``eliminated`` are the flat positions of ``positions`` in an
+    n x (n + 1) matrix in that order, whose last column holds the
+    right-hand side. ``reaches`` hold, for each block but the last, the
+    columns its elimination reads and updates: the next block's, the
+    border's unless the next block is the last (which holds the border),
+    and the right-hand side's.
     """
 
     positions: np.ndarray
+    prior_slots: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    order: np.ndarray
+    bounds: np.ndarray
+    eliminated: np.ndarray
+    reaches: list[np.ndarray]
+
+
+def _elimination_blocks(rows: np.ndarray, cols: np.ndarray, n: int,
+                        n_border: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elimination order and block bounds for an n x n Hessian whose last
+    ``n_border`` parameters (the border) may couple to every other one.
+
+    The other parameters form a graph through the non-zero entries at
+    ``rows`` and ``cols``. Its breadth-first level sets, each search
+    started from the lowest unvisited parameter so that every component is
+    covered in turn, are merged in sequence until a block holds at least
+    ``n_border`` parameters; the border joins the last block. An edge of a
+    breadth-first search joins the same or adjacent levels, so outside the
+    border the matrix is block tridiagonal in this order. Parameters keep
+    their x order within a block.
+    """
+    n_graph = n - n_border
+    edge = (rows < n_graph) & (cols < n_graph)
+    rows, cols = rows[edge], cols[edge]
+    visited = np.zeros(n_graph, dtype=bool)
+    levels = []
+    while not visited.all():
+        level = np.array([np.argmin(visited)])
+        while level.size:
+            visited[level] = True
+            levels.append(level)
+            in_level = np.zeros(n_graph, dtype=bool)
+            in_level[level] = True
+            reached = np.zeros(n_graph, dtype=bool)
+            reached[cols[in_level[rows]]] = True
+            level = np.flatnonzero(reached & ~visited)
+    blocks, pending = [], []
+    for level in levels:
+        pending.append(level)
+        if sum(map(len, pending)) >= n_border:
+            blocks.append(np.sort(np.concatenate(pending)))
+            pending = []
+    if pending:
+        blocks.append(np.sort(np.concatenate(pending)))
+    order = np.concatenate(blocks + [np.arange(n_graph, n)])
+    sizes = [len(block) for block in blocks[:-1]]
+    return order, np.array([0, *np.cumsum(sizes, dtype=int), n])
 
 
 class _Problem:
@@ -397,18 +466,31 @@ class _Problem:
             products = (exps[:, :, None] * exps[:, None, :]).reshape(-1, k * k)
             planned.append((exps, products, flat.reshape(-1)))
         present = np.zeros(n * n + 1, dtype=bool)
+        diagonal = np.arange(n) * (n + 1)
+        present[diagonal] = True
         for *_, flat in planned:
             present[flat] = True
         positions = np.flatnonzero(present[:-1])
         slot = np.full(n * n + 1, len(positions))  # dropped: the last slot
         slot[positions] = np.arange(len(positions))
-        self._plan = _HessianPlan(positions, [
-            (exps, products, slot[flat]) for exps, products, flat in planned])
+        rows, cols = np.divmod(positions, n)
+        border = n - len(self.free_structural)
+        order, bounds = _elimination_blocks(rows, cols, n,
+                                            len(self.free_structural))
+        rank = np.empty(n, dtype=int)
+        rank[order] = np.arange(n)
+        reaches = [np.arange(hi, n + 1) if top == n
+                   else np.r_[hi:top, border:n + 1]
+                   for hi, top in zip(bounds[1:-1], bounds[2:])]
+        self._plan = _HessianPlan(
+            positions, slot[diagonal[:self.n_strength - self.pinned]],
+            [(exps, products, slot[flat]) for exps, products, flat in planned],
+            order, bounds, rank[rows] * (n + 1) + rank[cols], reaches)
         return self._plan
 
-    def hessian(self, x: np.ndarray,
-                probs: Sequence[np.ndarray] | None = None) -> np.ndarray:
-        """Exact Hessian of ``value_and_grad``'s value over ``x``.
+    def _information(self, x: np.ndarray,
+                     probs: Sequence[np.ndarray] | None) -> np.ndarray:
+        """Minus the Hessian's entries at the plan's positions.
 
         A block's log weights for one pair are linear in a few local
         features: each side's log strength, both log defences, the free
@@ -418,14 +500,10 @@ class _Problem:
         cells x pairs array per block, as ``evaluate`` returns them at the
         same ``x``; without them the kernel runs again.
 
-        The feature exponents, their pairwise products and each covariance
-        entry's slot among the matrix's non-zero positions depend only on
-        the schedule and layout, so they are planned once per problem. Each
-        call takes the second moments and means with two matrix products
-        per block, sums the entries per slot with one bincount and scatters
-        the sums into the dense matrix; the prior adds its diagonal.
+        The second moments and means take two matrix products per block;
+        one bincount sums the covariance entries per slot, and the prior
+        adds its curvature to the strengths' diagonal.
         """
-        n = self.n_free
         flat, slog = self.unpack(x)
         if probs is None:
             probs = [p for *_, p in self._blocks(flat, slog)]
@@ -439,14 +517,54 @@ class _Problem:
                 - (mean[:, None, :] * mean[None, :, :]).reshape(k * k, -1) \
                 * mvec[None, :]
             sums += np.bincount(slots, cov.ravel(), len(sums))
-        hess = np.zeros(n * n)
-        hess[plan.positions] = -sums[:-1]
-        hess = hess.reshape(n, n)
         if self.w > 0:
             p = _logistic(flat[self.pinned:self.n_strength])
-            diagonal = np.arange(len(p))
-            hess[diagonal, diagonal] -= 2.0 * self.w * p * (1.0 - p)
-        return hess
+            sums[plan.prior_slots] += 2.0 * self.w * p * (1.0 - p)
+        return sums[:-1]
+
+    def hessian(self, x: np.ndarray,
+                probs: Sequence[np.ndarray] | None = None) -> np.ndarray:
+        """Exact Hessian of ``value_and_grad``'s value over ``x``, as a
+        dense matrix in x's order; ``probs`` as for ``_information``."""
+        n = self.n_free
+        hess = np.zeros(n * n)
+        hess[self._hessian_plan().positions] = -self._information(x, probs)
+        return hess.reshape(n, n)
+
+    def newton_direction(self, x: np.ndarray, g: np.ndarray,
+                         probs: Sequence[np.ndarray] | None = None
+                         ) -> np.ndarray:
+        """Solve ``-H d = g`` by block elimination in the plan's order.
+
+        Minus the Hessian is scattered in elimination order, so each block
+        is a contiguous slice. Outside the border, a block couples only to
+        its neighbours; each block's Schur complement is solved once against
+        its coupling to the next block and the border, stacked with its
+        right-hand side, and that coupling updates the rows it reaches. The
+        last block, which holds the border, is solved directly and the
+        earlier ones are back-substituted. With one block this is one dense
+        solve. ``np.linalg.LinAlgError`` means a singular block.
+        """
+        plan = self._hessian_plan()
+        n = self.n_free
+        a = np.zeros(n * (n + 1))
+        a[plan.eliminated] = self._information(x, probs)
+        a = a.reshape(n, n + 1)
+        a[:, n] = g[plan.order]
+        steps = []
+        for lo, hi, reach in zip(plan.bounds, plan.bounds[1:], plan.reaches):
+            coupling = a[lo:hi, reach]
+            solved = np.linalg.solve(a[lo:hi, lo:hi], coupling)
+            a[np.ix_(reach[:-1], reach)] -= coupling[:, :-1].T @ solved
+            steps.append((lo, hi, reach[:-1], solved))
+        lo = plan.bounds[-2]
+        y = np.empty(n)
+        y[lo:] = np.linalg.solve(a[lo:, lo:n], a[lo:, n])
+        for lo, hi, reach, solved in reversed(steps):
+            y[lo:hi] = solved[:, -1] - solved[:, :-1] @ y[reach]
+        d = np.empty(n)
+        d[plan.order] = y
+        return d
 
     # ---- reporting ----
 
@@ -535,11 +653,12 @@ def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
              maxiter: int) -> NewtonResult:
     """Minimize the negative log likelihood by damped exact Newton steps.
 
-    Each step solves ``-H d = g`` with the analytic Hessian and halves
-    ``d`` until the log likelihood does not drop or the gradient max-norm
-    falls. The run converges once the gradient max-norm is at most
-    ``gtol``. A singular Hessian, a non-finite or non-ascent direction,
-    exhausted halvings or the step budget end it unconverged.
+    Each step solves ``-H d = g`` with the analytic Hessian, by block
+    elimination in the problem's planned order, and halves ``d`` until the
+    log likelihood does not drop or the gradient max-norm falls. The run
+    converges once the gradient max-norm is at most ``gtol``. A singular
+    Hessian block, a non-finite or non-ascent direction, exhausted halvings
+    or the step budget end it unconverged.
     """
     x = np.asarray(x0, dtype=float)
     value, g, probs = problem.evaluate(x)
@@ -549,9 +668,8 @@ def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
         if nit >= maxiter:
             message = f"step budget of {maxiter} used up"
             break
-        information = -problem.hessian(x, probs)
         try:
-            d = np.linalg.solve(information, g)
+            d = problem.newton_direction(x, g, probs)
         except np.linalg.LinAlgError:
             message = "singular Hessian"
             break

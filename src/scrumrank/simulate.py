@@ -330,7 +330,7 @@ class ReplicateResult:
     converged: bool
     estimates: Mapping[str, float] | None
     strength_spearman: float | None
-    degenerate_spread: bool  # all estimated strengths tied, no ordering
+    degenerate_spread: bool  # a table's strengths all tied, no ordering
 
 
 @dataclass(frozen=True)
@@ -392,25 +392,28 @@ def recovery_study(truth: Parameters, fixtures: Sequence[Fixture],
     """Simulate-and-refit: how well do estimates find the truth again?
 
     The truth is gauge-normalized first so its structural parameters live
-    in the same convention the fitted estimates are reported in. Fitted
-    log strengths within ``_TIE_TOLERANCES`` gradient tolerances of each
-    other rank as ties.
+    in the same convention the fitted estimates are reported in. Each of
+    the variant's strength tables gets its own Spearman against the truth,
+    and a replicate reports the smallest; it is degenerate when any table's
+    strengths are all tied. Fitted log strengths within ``_TIE_TOLERANCES``
+    gradient tolerances of each other rank as ties.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     variant = fit_config.variant
     truth = normalize_parameters(truth, variant)
-    home_table = parameter_layout(variant).home
-    truth_strengths = truth.value(home_table)
+    tables = parameter_layout(variant).strength_tables
+    truth_tables = [truth.value(name) for name in tables]
     # only teams that actually play get estimates, so the recovery is
     # scored over the fixture list's team set
     teams = sorted({team for f in fixtures
                     for team in (f.home_team, f.away_team)})
-    missing = [team for team in teams if team not in truth_strengths]
+    missing = [team for team in teams if team not in truth_tables[0]]
     if missing:
         raise ValueError(f"fixtures mention {missing[0]!r}, which has no "
                          "strength in the truth parameters")
-    truth_order = np.array([truth_strengths[t] for t in teams])
+    truth_orders = [np.array([table[t] for t in teams])
+                    for table in truth_tables]
     tie_width = _TIE_TOLERANCES * fit_config.gradient_tolerance
     results: list[ReplicateResult] = []
     for replicate in range(replicates):
@@ -423,11 +426,15 @@ def recovery_study(truth: Parameters, fixtures: Sequence[Fixture],
                                            False))
             continue
         estimates = _structural_values(fitted.parameters, variant)
-        est_strengths = fitted.parameters.value(home_table)
-        est_logs = np.log([est_strengths[t] for t in teams])
-        rho = spearman(truth_order, _merge_ties(est_logs, tie_width))
-        degenerate = math.isnan(rho)  # one side's strengths all tied
+        rhos = []
+        for name, truth_order in zip(tables, truth_orders):
+            est_strengths = fitted.parameters.value(name)
+            est_logs = np.log([est_strengths[t] for t in teams])
+            rhos.append(spearman(truth_order,
+                                 _merge_ties(est_logs, tie_width)))
+        # one side's strengths all tied in some table
+        degenerate = any(math.isnan(rho) for rho in rhos)
         results.append(ReplicateResult(replicate, True, estimates,
-                                       None if degenerate else rho,
+                                       None if degenerate else min(rhos),
                                        degenerate))
     return RecoveryStudy(truth=truth, variant=variant, results=tuple(results))

@@ -41,7 +41,7 @@ from scrumrank.model import (
     outcome_distribution,
     parameter_layout,
 )
-from scrumrank.simulate import double_round_robin, simulate_season
+from scrumrank.simulate import Fixture, double_round_robin, simulate_season
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -598,3 +598,127 @@ def test_two_component_schedule_fits_without_prior():
     np.testing.assert_allclose(
         [model.parameters.strengths[f"T{k}"] for k in range(8)],
         reference, rtol=1e-8)
+
+
+# -- the block-elimination Newton direction --
+
+def _ring_counts(variant: VariantConfig, teams: int = 60,
+                 offsets=(1, 2, 3, 5)) -> OutcomeCounts:
+    """A season on a ring: each team meets the teams ``offsets`` places on,
+    once at home and once away, so the schedule graph is long and thin."""
+    names = [f"R{k:02d}" for k in range(teams)]
+    fixtures = [Fixture(names[p], names[(p + d) % teams])
+                for p in range(teams) for d in offsets]
+    fixtures += [Fixture(f.away_team, f.home_team) for f in fixtures]
+    truth = _random_params(np.random.default_rng(41), names, variant)
+    return simulate_season(truth, fixtures, seed=5, variant=variant)
+
+
+def _two_component_counts(variant: VariantConfig) -> OutcomeCounts:
+    """The schedule of test_two_component_schedule_fits_without_prior."""
+    names = [f"T{k}" for k in range(8)]
+    fixtures = (double_round_robin(names[0::2])
+                + double_round_robin(names[1::2])) * 4
+    truth = _random_params(np.random.default_rng(43), names, variant)
+    return simulate_season(truth, fixtures, seed=1, variant=variant)
+
+
+SCHEDULES = {"ring": _ring_counts, "two-component": _two_component_counts}
+
+GAUGES = [
+    (0.0, None, True),
+    (1.0, None, False),
+    (0.0, {"rho_n": 0.448}, False),
+]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+@pytest.mark.parametrize("weight, freeze, pin_first", GAUGES)
+def test_block_direction_equals_a_dense_solve(schedule, variant, weight,
+                                              freeze, pin_first):
+    counts = SCHEDULES[schedule](variant)
+    problem = _Problem.from_counts(counts.teams(), counts, variant, weight,
+                                   DEFAULT_POINTS, freeze=freeze,
+                                   pin_first=pin_first)
+    assert len(problem._hessian_plan().bounds) - 1 >= 2
+    x = np.random.default_rng(47).normal(0.0, 0.5, problem.n_free)
+    _, g, probs = problem.evaluate(x)
+    dense = np.linalg.solve(-problem.hessian(x, probs), g)
+    direction = problem.newton_direction(x, g, probs)
+    assert np.abs(direction - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+@pytest.mark.parametrize("weight, freeze, pin_first", GAUGES)
+def test_block_plan_partitions_and_bounds_the_hessian(schedule, variant,
+                                                      weight, freeze,
+                                                      pin_first):
+    counts = SCHEDULES[schedule](variant)
+    problem = _Problem.from_counts(counts.teams(), counts, variant, weight,
+                                   DEFAULT_POINTS, freeze=freeze,
+                                   pin_first=pin_first)
+    plan = problem._hessian_plan()
+    n = problem.n_free
+    border = n - len(problem.free_structural)
+    # every free parameter in exactly one block, the border in the last
+    assert sorted(plan.order.tolist()) == list(range(n))
+    assert plan.bounds[0] == 0 and plan.bounds[-1] == n
+    assert (np.diff(plan.bounds) > 0).all()
+    assert plan.order[border:].tolist() == list(range(border, n))
+    assert plan.bounds[-2] <= border
+    # outside the border, no entry couples blocks further than one apart
+    x = np.random.default_rng(53).normal(0.0, 0.5, n)
+    ordered = problem.hessian(x)[np.ix_(plan.order, plan.order)]
+    block = np.repeat(np.arange(len(plan.bounds) - 1), np.diff(plan.bounds))
+    in_border = np.arange(n) >= border
+    allowed = (np.abs(block[:, None] - block[None, :]) <= 1) \
+        | in_border[:, None] | in_border[None, :]
+    assert (ordered[~allowed] == 0.0).all()
+    if schedule == "ring":  # enough blocks for the pattern to exclude some
+        assert (~allowed).any()
+
+
+@pytest.mark.parametrize("weight, pin_first", [(0.0, True), (1.0, False)])
+@pytest.mark.parametrize("counts", [
+    _golden_counts,
+    lambda: simulate_season(
+        _random_params(np.random.default_rng(59),
+                       [f"D{k:02d}" for k in range(20)], DEFAULT_VARIANT),
+        double_round_robin([f"D{k:02d}" for k in range(20)]), seed=2),
+], ids=["golden", "double-round-robin-20"])
+def test_round_robin_plans_one_block_in_x_order(counts, weight, pin_first):
+    counts = counts()
+    problem = _Problem.from_counts(counts.teams(), counts, DEFAULT_VARIANT,
+                                   weight, DEFAULT_POINTS,
+                                   pin_first=pin_first)
+    plan = problem._hessian_plan()
+    assert plan.bounds.tolist() == [0, problem.n_free]
+    assert plan.order.tolist() == list(range(problem.n_free))
+
+
+def test_singular_middle_block_is_a_nonconvergence(monkeypatch):
+    counts = _ring_counts(DEFAULT_VARIANT)
+    problem = _Problem.from_counts(counts.teams(), counts, DEFAULT_VARIANT,
+                                   1.0, DEFAULT_POINTS)
+    assert len(problem._hessian_plan().bounds) - 1 >= 3
+    solve = np.linalg.solve
+    calls = []
+
+    def singular_second_block(a, b):
+        calls.append(a.shape)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_second_block)
+    with pytest.raises(NonConvergenceError) as err:
+        fit(counts, FitConfig(prior=PriorConfig(weight=1.0)))
+    assert len(calls) == 2
+    assert "singular Hessian" in str(err.value)
+    assert err.value.iterations == 0

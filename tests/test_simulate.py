@@ -350,3 +350,33 @@ def test_spearman_matches_scipy_on_ties_and_constants():
             assert np.isnan(got)
         else:
             assert abs(got - expected) <= 1e-12
+
+
+def test_recovery_scores_every_strength_table(monkeypatch):
+    teams = ["A", "B", "C", "D"]
+    home = dict(zip(teams, [0.5, 0.8, 1.2, 2.0]))
+
+    def team_specific(away):
+        return Parameters(strengths=home, kappa=1.0, **REFERENCE_MEANS,
+                          extras=VariantParameters(
+                              home_strengths=home,
+                              away_strengths=dict(zip(teams, away))))
+
+    truth = team_specific([0.6, 0.9, 1.1, 1.7])
+
+    def scored(estimate):
+        monkeypatch.setattr(simulate, "fit", lambda counts, config:
+                            types.SimpleNamespace(parameters=estimate))
+        (result,) = recovery_study(
+            truth, double_round_robin(teams), replicates=1, seed=3,
+            fit_config=FitConfig(variant=VARIANTS["team-specific"])).results
+        return result
+
+    assert scored(truth).strength_spearman == 1.0
+    # the home table alone still orders every team perfectly
+    reversed_away = scored(team_specific([1.7, 1.1, 0.9, 0.6]))
+    assert reversed_away.strength_spearman == -1.0
+    assert not reversed_away.degenerate_spread
+    tied_away = scored(team_specific([1.0] * 4))
+    assert tied_away.degenerate_spread
+    assert tied_away.strength_spearman is None
