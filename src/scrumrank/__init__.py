@@ -16,6 +16,7 @@ from .domain import (
     PointsSystem,
     ResultOutcome,
     SuffStats,
+    TeamRecord,
     TryOutcome,
     Venue,
     classify_match,
@@ -74,7 +75,6 @@ from .rank import (
     RankingComparison,
     RankingTable,
     TeamMismatchError,
-    TeamRecord,
     build_table,
     compare_rankings,
     lppm,

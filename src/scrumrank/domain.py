@@ -6,7 +6,8 @@ and a four-way try outcome (which sides reached the try-bonus threshold).
 League points are a function of that pair alone, so a season collapses to
 outcome counts per ordered (home, away, venue) triple plus a handful of
 totals, and those totals are exactly what the likelihood in
-:mod:`scrumrank.estimate` consumes.
+:mod:`scrumrank.estimate` consumes. ``OutcomeCounts.columns`` is the one
+array view of that table and ``team_records`` the one per-team tally.
 
 Everything here is a pure function of immutable values; no I/O.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -201,21 +202,10 @@ def classify_match(record: MatchRecord,
 def league_points(result: ResultOutcome, tries: TryOutcome,
                   points: PointsSystem = DEFAULT_POINTS) -> tuple[int, int]:
     """League points (home, away) awarded for an outcome pair."""
-    win, draw, loss = points.win_points, points.draw_points, points.loss_points
-    result_part = {
-        ResultOutcome.HOME_WIDE: (win, loss),
-        ResultOutcome.HOME_NARROW: (win, loss + 1),
-        ResultOutcome.DRAW: (draw, draw),
-        ResultOutcome.AWAY_NARROW: (loss + 1, win),
-        ResultOutcome.AWAY_WIDE: (loss, win),
-    }[result]
-    try_part = {
-        TryOutcome.BOTH_BONUS: (1, 1),
-        TryOutcome.HOME_BONUS: (1, 0),
-        TryOutcome.AWAY_BONUS: (0, 1),
-        TryOutcome.ZERO_BONUS: (0, 0),
-    }[tries]
-    return result_part[0] + try_part[0], result_part[1] + try_part[1]
+    (res_home, res_away), (try_home, try_away) = (result_points_arrays(points),
+                                                  try_points_arrays())
+    r, t = RESULT_INDEX[result], TRY_INDEX[tries]
+    return int(res_home[r] + try_home[t]), int(res_away[r] + try_away[t])
 
 
 def result_points_arrays(points: PointsSystem = DEFAULT_POINTS
@@ -255,6 +245,21 @@ class PairCounts:
 PairKey = tuple[str, str, Venue]
 
 
+@dataclass(frozen=True)
+class PairColumns:
+    """An outcome table as parallel per-pair arrays: ``home`` and ``away``
+    index each pair's sides into ``teams``, ``home_ground`` is False at a
+    neutral ground, and ``result`` and ``tries`` are the outcome counts,
+    pairs x 5 and pairs x 4."""
+
+    teams: list[str]
+    home: np.ndarray
+    away: np.ndarray
+    home_ground: np.ndarray
+    result: np.ndarray
+    tries: np.ndarray
+
+
 @dataclass
 class OutcomeCounts:
     """Season-level outcome frequency table keyed by (home, away, venue)."""
@@ -280,6 +285,26 @@ class OutcomeCounts:
 
     def total_matches(self) -> int:
         return sum(int(pc.result.sum()) for pc in self.pairs.values())
+
+    def columns(self, teams: Sequence[str]) -> PairColumns:
+        """The pairs as parallel arrays, sorted by home team, away team and
+        venue value, with both sides indexed into ``teams``.
+
+        A team missing from ``teams`` raises KeyError; the first one found,
+        reading each pair's home side before its away side, is named.
+        """
+        index = {team: k for k, team in enumerate(teams)}
+        items = sorted(self.pairs.items(), key=lambda kv: (
+            kv[0][0], kv[0][1], kv[0][2].value))
+        n = len(items)
+        sides = [(index[home], index[away]) for (home, away, _), _ in items]
+        home, away = np.array(sides, dtype=int).reshape(n, 2).T.copy()
+        return PairColumns(
+            list(teams), home, away,
+            np.array([venue is Venue.HOME_GROUND
+                      for (_, _, venue), _ in items], dtype=bool),
+            np.array([pc.result for _, pc in items]).reshape(n, 5),
+            np.array([pc.tries for _, pc in items]).reshape(n, 4))
 
     def validate(self):
         """Raise for the first bad pair in insertion order.
@@ -321,6 +346,56 @@ def outcome_counts(matches: Iterable[MatchRecord],
 
 
 @dataclass(frozen=True)
+class TeamRecord:
+    """One team's matches, results, bonuses and league points."""
+
+    team: str
+    played: int
+    won: int
+    drawn: int
+    lost: int
+    try_bonuses: int
+    losing_bonuses: int
+    league_points: int
+
+    @property
+    def lppm(self) -> float:
+        """League points per match."""
+        return self.league_points / self.played
+
+
+def team_records(view: PairColumns,
+                 points: PointsSystem = DEFAULT_POINTS
+                 ) -> dict[str, TeamRecord]:
+    """Every team's playing record over an outcome table's columns, in the
+    order of ``view.teams``.
+
+    Declared results enter the result counts only, so each counts as a
+    narrow win that takes no try bonus.
+    """
+    r, t = view.result, view.tries
+    res_home, res_away = result_points_arrays(points)
+    try_home, try_away = try_points_arrays()
+    played, drawn = r.sum(axis=1), r[:, 2]
+    home_won, away_won = r[:, :2].sum(axis=1), r[:, 3:].sum(axis=1)
+    # per pair and side: played, won, drawn, lost, try bonuses, losing
+    # bonuses and league points
+    sides = ((view.home, [played, home_won, drawn, away_won, t @ try_home,
+                          r[:, 3], r @ res_home + t @ try_home]),
+             (view.away, [played, away_won, drawn, home_won, t @ try_away,
+                          r[:, 1], r @ res_away + t @ try_away]))
+    m, k = len(view.teams), len(sides[0][1])
+    tally = np.zeros(m * k)
+    for team, columns in sides:
+        slots = team[:, None] * k + np.arange(k)
+        tally += np.bincount(slots.ravel(), np.stack(columns, axis=1).ravel(),
+                             m * k)
+    rows = np.rint(tally).astype(int).reshape(m, k).tolist()
+    return {team: TeamRecord(team, *row)
+            for team, row in zip(view.teams, rows)}
+
+
+@dataclass(frozen=True)
 class SuffStats:
     """Totals that, with the match counts, fully determine the likelihood.
 
@@ -345,27 +420,21 @@ def sufficient_stats_from_counts(counts: OutcomeCounts,
                                  ) -> SuffStats:
     """Aggregate an outcome table into the model's sufficient statistics."""
     counts.validate()
+    view = counts.columns(counts.teams())
+    records = team_records(view, points)
+    result, tries = view.result.sum(axis=0), view.tries.sum(axis=0)
     res_home, res_away = result_points_arrays(points)
     try_home, try_away = try_points_arrays()
-    totals: dict[str, float] = {team: 0.0 for team in counts.teams()}
-    narrow = draws = both = zero = 0
-    edge = 0.0
-    for (home, away, venue), pc in counts.pairs.items():
-        r, t = pc.result, pc.tries
-        totals[home] += r @ res_home + t @ try_home
-        totals[away] += r @ res_away + t @ try_away
-        narrow += int(r[1] + r[3])
-        draws += int(r[2])
-        both += int(t[0])
-        zero += int(t[3])
-        if venue is Venue.HOME_GROUND:
-            edge += r @ (res_home - res_away) + t @ (try_home - try_away)
+    on_ground = view.home_ground
+    edge = (view.result[on_ground].sum(axis=0) @ (res_home - res_away)
+            + view.tries[on_ground].sum(axis=0) @ (try_home - try_away))
     return SuffStats(
-        points={team: int(round(v)) for team, v in totals.items()},
-        narrow=narrow,
-        draws=draws,
-        both_bonus=both,
-        zero_bonus=zero,
+        points={team: record.league_points
+                for team, record in records.items()},
+        narrow=int(result[1] + result[3]),
+        draws=int(result[2]),
+        both_bonus=int(tries[0]),
+        zero_bonus=int(tries[3]),
         home_edge=int(round(edge)),
     )
 

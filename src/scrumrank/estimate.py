@@ -58,8 +58,10 @@ import numpy as np
 from .domain import (
     DEFAULT_POINTS,
     OutcomeCounts,
+    PairColumns,
     PointsSystem,
-    Venue,
+    TeamRecord,
+    team_records,
 )
 from .model import (
     DEFAULT_VARIANT,
@@ -181,8 +183,8 @@ class Score:
 
 @dataclass(frozen=True)
 class _HessianPlan:
-    """What ``_Problem.hessian`` and ``_Problem.newton_direction`` need that
-    does not depend on ``x``.
+    """What ``_Problem.newton_direction`` needs that does not depend on
+    ``x``.
 
     ``positions`` are the sorted flat positions of the Hessian's non-zero
     entries, the whole diagonal included, and ``prior_slots`` the indices
@@ -300,29 +302,24 @@ class _Problem:
     @classmethod
     def from_counts(cls, teams, counts: OutcomeCounts, variant, prior_weight,
                     points, freeze=None, pin_first=False) -> "_Problem":
-        index = {team: k for k, team in enumerate(teams)}
-        venue_order = {venue: venue.value for venue in Venue}
-        items = sorted(counts.pairs.items(), key=lambda kv: (
-            kv[0][0], kv[0][1], venue_order[kv[0][2]]))
-        n = len(items)
         try:
-            # home then away per pair, so the first unknown team is named
-            sides = [(index[home], index[away])
-                     for (home, away, _), _ in items]
+            view = counts.columns(teams)
         except KeyError as error:
             raise ParameterError(f"counts mention {error.args[0]!r}, which "
                                  "is not in the team list") from None
-        i_idx, j_idx = np.array(sides, dtype=int).reshape(n, 2).T.copy()
-        home_mask = np.array(
-            [venue is Venue.HOME_GROUND for (_, _, venue), _ in items],
-            dtype=float)
-        r_obs = np.array([pc.result for _, pc in items],
-                         dtype=float).reshape(n, 5).T.copy()
-        t_obs = np.array([pc.tries for _, pc in items],
-                         dtype=float).reshape(n, 4).T.copy()
-        return cls(teams, i_idx, j_idx, home_mask,
-                   [(result_block(points), r_obs),
-                    (try_block(variant), t_obs)],
+        return cls.from_columns(view, variant, prior_weight, points, freeze,
+                                pin_first)
+
+    @classmethod
+    def from_columns(cls, view: PairColumns, variant, prior_weight, points,
+                     freeze=None, pin_first=False) -> "_Problem":
+        """The result and try blocks over a view's pairs and teams."""
+        return cls(view.teams, view.home, view.away,
+                   view.home_ground.astype(float),
+                   [(result_block(points),
+                     np.ascontiguousarray(view.result.T, dtype=float)),
+                    (try_block(variant),
+                     np.ascontiguousarray(view.tries.T, dtype=float))],
                    variant, prior_weight, freeze, pin_first)
 
     # ---- parameter packing ----
@@ -386,7 +383,8 @@ class _Problem:
     def evaluate(self, x: np.ndarray
                  ) -> tuple[float, np.ndarray, list[np.ndarray]]:
         """Log likelihood, its gradient and each block's cell probabilities
-        at ``x``; ``hessian`` takes the probabilities for the same ``x``."""
+        at ``x``; ``newton_direction`` takes the probabilities for the same
+        ``x``."""
         flat, slog = self.unpack(x)
         block_probs = []
         value = 0.0
@@ -424,7 +422,7 @@ class _Problem:
         return value, g, block_probs
 
     def _hessian_plan(self) -> _HessianPlan:
-        """The part of ``hessian`` that does not depend on ``x``.
+        """The part of the Hessian that does not depend on ``x``.
 
         Built on first use and kept for the problem's lifetime; a fit that
         stops before its first step never builds it.
@@ -522,15 +520,6 @@ class _Problem:
             sums[plan.prior_slots] += 2.0 * self.w * p * (1.0 - p)
         return sums[:-1]
 
-    def hessian(self, x: np.ndarray,
-                probs: Sequence[np.ndarray] | None = None) -> np.ndarray:
-        """Exact Hessian of ``value_and_grad``'s value over ``x``, as a
-        dense matrix in x's order; ``probs`` as for ``_information``."""
-        n = self.n_free
-        hess = np.zeros(n * n)
-        hess[self._hessian_plan().positions] = -self._information(x, probs)
-        return hess.reshape(n, n)
-
     def newton_direction(self, x: np.ndarray, g: np.ndarray,
                          probs: Sequence[np.ndarray] | None = None
                          ) -> np.ndarray:
@@ -568,17 +557,12 @@ class _Problem:
 
     # ---- reporting ----
 
-    def points_totals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Observed and expected league points per team, prior included."""
+    def expected_totals(self, x: np.ndarray) -> np.ndarray:
+        """Expected league points per team at ``x``, prior included."""
         flat, slog = self.unpack(x)
-        observed = np.zeros(self.m)
         expected = np.zeros(self.m)
-        for block, obs, mvec, _, _, probs in self._blocks(flat, slog):
+        for block, _, mvec, _, _, probs in self._blocks(flat, slog):
             exp_cells = mvec[None, :] * probs
-            observed += np.bincount(self.i_idx, block.home_points @ obs,
-                                    self.m)
-            observed += np.bincount(self.j_idx, block.away_points @ obs,
-                                    self.m)
             expected += np.bincount(self.i_idx, block.home_points @ exp_cells,
                                     self.m)
             expected += np.bincount(self.j_idx, block.away_points @ exp_cells,
@@ -586,9 +570,8 @@ class _Problem:
         if self.w > 0:
             # one notional win and loss per side the team's strength plays
             p = _logistic(flat[:self.n_strength])
-            observed += self.w * (self.n_strength // self.m)
             expected += 2.0 * self.w * p.reshape(-1, self.m).sum(axis=0)
-        return observed, expected
+        return expected
 
 
 def _full_problem(params: Parameters, counts: OutcomeCounts,
@@ -697,23 +680,10 @@ def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
     return NewtonResult(x, value, grad_inf, nit, nfev, False, message)
 
 
-def _team_results(counts: OutcomeCounts) -> dict[str, tuple[int, int, int]]:
-    """Wins, draws, losses per team."""
-    wdl = {team: [0, 0, 0] for team in counts.teams()}
-    for (home, away, _), pc in counts.pairs.items():
-        r = pc.result
-        wdl[home][0] += int(r[0] + r[1])
-        wdl[home][1] += int(r[2])
-        wdl[home][2] += int(r[3] + r[4])
-        wdl[away][0] += int(r[3] + r[4])
-        wdl[away][1] += int(r[2])
-        wdl[away][2] += int(r[0] + r[1])
-    return {team: tuple(v) for team, v in wdl.items()}
-
-
-def _diagnose(counts: OutcomeCounts, prior_weight: float) -> str:
+def _diagnose(records: Mapping[str, TeamRecord], prior_weight: float) -> str:
     notes = []
-    for team, (won, drawn, lost) in sorted(_team_results(counts).items()):
+    for team, record in records.items():
+        won, drawn, lost = record.won, record.drawn, record.lost
         if won > 0 and drawn == 0 and lost == 0:
             notes.append(f"team {team!r} is undefeated, so its strength "
                          "estimate is unbounded")
@@ -798,16 +768,17 @@ class FittedModel:
 
 
 def _check_divergence(normalized: Parameters, variant: VariantConfig,
-                      counts: OutcomeCounts, prior_weight: float,
+                      records: Mapping[str, TeamRecord], prior_weight: float,
                       iterations: int, grad_norm: float):
     for name in parameter_layout(variant).tables:
         for team, value in normalized.value(name).items():
             if abs(math.log(value)) > _DIVERGENCE_LOG_LIMIT:
+                diagnosis = _diagnose(records, prior_weight)
                 raise NonConvergenceError(
                     f"strength estimates diverged (team {team!r} at "
-                    f"{value:.3g}); " + _diagnose(counts, prior_weight),
+                    f"{value:.3g}); " + diagnosis,
                     best=normalized,
-                    diagnosis=_diagnose(counts, prior_weight),
+                    diagnosis=diagnosis,
                     iterations=iterations,
                     gradient_norm=grad_norm,
                 )
@@ -837,16 +808,18 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
     # with no prior the likelihood is scale-invariant and one strength must
     # be pinned, unless a frozen scale-absorbing parameter already fixed it
     pin = w == 0.0 and not _gauge_broken(config.variant, config.freeze)
-    problem = _Problem.from_counts(
-        teams, counts, config.variant, w, config.points_system,
+    view = counts.columns(teams)
+    problem = _Problem.from_columns(
+        view, config.variant, w, config.points_system,
         freeze=config.freeze, pin_first=pin,
     )
     result = minimize(problem, np.zeros(problem.n_free),
                       config.gradient_tolerance, config.max_iterations)
     nit, grad_inf = result.nit, result.grad_inf
     raw = problem.x_to_parameters(result.x)
+    records = team_records(view, config.points_system)
     if not result.converged:
-        diagnosis = _diagnose(counts, w)
+        diagnosis = _diagnose(records, w)
         raise NonConvergenceError(
             f"no certified maximum after {nit} Newton steps (gradient "
             f"max-norm {grad_inf:.3g}, {result.message}); " + diagnosis,
@@ -854,14 +827,16 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
             gradient_norm=grad_inf,
         )
     normalized = normalize_parameters(raw, config.variant)
-    _check_divergence(normalized, config.variant, counts, w, nit, grad_inf)
-    observed, expected = problem.points_totals(result.x)
+    _check_divergence(normalized, config.variant, records, w, nit, grad_inf)
+    # each strength table's notional prior matches earn the team w points
+    prior_points = w * len(problem.layout.strength_tables)
+    expected = problem.expected_totals(result.x)
     report = ConvergenceReport(
         iterations=nit,
         final_gradient_norm=grad_inf,
         log_likelihood=result.value,
-        observed_points={t: float(observed[k])
-                         for k, t in enumerate(problem.teams)},
+        observed_points={t: float(records[t].league_points + prior_points)
+                         for t in problem.teams},
         expected_points={t: float(expected[k])
                          for k, t in enumerate(problem.teams)},
     )

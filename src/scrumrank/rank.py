@@ -26,10 +26,10 @@ from .domain import (
     DEFAULT_POINTS,
     MatchRecord,
     PointsSystem,
-    TryOutcome,
+    TeamRecord,
     Venue,
-    classify_match,
-    league_points,
+    outcome_counts,
+    team_records,
 )
 from .estimate import FittedModel
 from .model import (
@@ -64,60 +64,12 @@ def _require_same_teams(first: Iterable[str], second: Iterable[str],
         )
 
 
-@dataclass(frozen=True)
-class TeamRecord:
-    team: str
-    played: int
-    won: int
-    drawn: int
-    lost: int
-    try_bonuses: int
-    losing_bonuses: int
-    league_points: int
-
-    @property
-    def lppm(self) -> float:
-        return self.league_points / self.played
-
-
 def playing_records(matches: Iterable[MatchRecord],
                     points: PointsSystem = DEFAULT_POINTS
                     ) -> dict[str, TeamRecord]:
     """Aggregate per-team playing records from match results."""
-    acc: dict[str, list[int]] = {}
-
-    def tally(team: str) -> list[int]:
-        # played, won, drawn, lost, try bonuses, losing bonuses, points
-        return acc.setdefault(team, [0, 0, 0, 0, 0, 0, 0])
-
-    for match in matches:
-        result, tries = classify_match(match, points)
-        home_pts, away_pts = league_points(result, tries, points)
-        home, away = tally(match.home_team), tally(match.away_team)
-        home[0] += 1
-        away[0] += 1
-        if result.name.startswith("HOME"):
-            home[1] += 1
-            away[3] += 1
-            if result.name.endswith("NARROW"):
-                away[5] += 1
-        elif result.name.startswith("AWAY"):
-            away[1] += 1
-            home[3] += 1
-            if result.name.endswith("NARROW"):
-                home[5] += 1
-        else:
-            home[2] += 1
-            away[2] += 1
-        if tries in (TryOutcome.BOTH_BONUS, TryOutcome.HOME_BONUS):
-            home[4] += 1
-        if tries in (TryOutcome.BOTH_BONUS, TryOutcome.AWAY_BONUS):
-            away[4] += 1
-        home[6] += home_pts
-        away[6] += away_pts
-    return {
-        team: TeamRecord(team, *values) for team, values in sorted(acc.items())
-    }
+    counts = outcome_counts(matches, points)
+    return team_records(counts.columns(counts.teams()), points)
 
 
 def lppm(matches: Iterable[MatchRecord],

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -136,6 +137,34 @@ def test_fit_singular_hessian_exit_four(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error:" in err and "singular Hessian" in err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_perfbench_tracer_wraps_and_restores_every_layer(tmp_path):
+    # the traced benchmark looks these module attributes up by name, so a
+    # refactor that drops one breaks it; this catches that here
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        saved = list(tracer.saved)
+        assert all(getattr(module, attr) is not original
+                   for module, attr, original in saved)
+        _fit_model(tmp_path)
+        assert spans.score_seconds(tracer, repeats=1) > 0
+        metrics = spans.layer_metrics(tracer)
+    finally:
+        tracer.restore()
+    wrapped = {f"{module.__name__}.{attr}" for module, attr, _ in saved}
+    assert {"scrumrank.cli.playing_records", "scrumrank.cli.outcome_counts",
+            "scrumrank.rank.expected_points", "scrumrank.estimate.minimize",
+            "scrumrank.cli.fit"} <= wrapped
+    assert all(getattr(module, attr) is original
+               for module, attr, original in saved)
+    assert metrics["estimate.fit_calls"] == 1
+    assert metrics["domain.pairs"] > 0
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,3 +1,6 @@
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from scrumrank.domain import (
     OutcomeCounts,
     PointsSystem,
     ResultOutcome,
+    TeamRecord,
     TryOutcome,
     Venue,
     classify_match,
@@ -18,8 +22,12 @@ from scrumrank.domain import (
     outcome_counts,
     result_points_arrays,
     sufficient_stats,
+    team_records,
     try_points_arrays,
 )
+from scrumrank.ingest import load_matches
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_result_classification_margin_boundaries():
@@ -190,6 +198,43 @@ def _hand_season() -> list[MatchRecord]:
         MatchRecord("C", "A", 0, 0, 0, 0,
                     result_override=ResultOutcome.HOME_NARROW),
     ]
+
+
+def _records_match_by_match(matches, points):
+    """Playing records tallied one match at a time from league_points."""
+    rows = {}
+    for match in matches:
+        result, tries = classify_match(match, points)
+        both = league_points(result, tries, points)
+        for k, side in enumerate(("HOME", "AWAY")):
+            other = "AWAY" if side == "HOME" else "HOME"
+            row = rows.setdefault((match.home_team, match.away_team)[k],
+                                  [0] * 7)
+            row[0] += 1
+            row[1] += result.name.startswith(side)
+            row[2] += result is ResultOutcome.DRAW
+            row[3] += result.name.startswith(other)
+            row[4] += tries is TryOutcome.BOTH_BONUS \
+                or tries.name.startswith(side)
+            row[5] += result.name == f"{other}_NARROW"
+            row[6] += both[k]
+    return {team: TeamRecord(team, *row) for team, row in sorted(rows.items())}
+
+
+@pytest.mark.parametrize("points", [
+    DEFAULT_POINTS,
+    PointsSystem(win_points=3, draw_points=1, loss_points=0,
+                 losing_bonus_margin=5, try_bonus_threshold=3),
+])
+def test_team_records_equal_a_match_by_match_tally(points):
+    matches = [*load_matches(DATA / "golden_season.csv").records,
+               *_hand_season()]
+    counts = outcome_counts(matches, points)
+    records = team_records(counts.columns(counts.teams()), points)
+    assert records == _records_match_by_match(matches, points)
+    assert list(records) == sorted(records)
+    assert all(type(value) is int for record in records.values()
+               for value in dataclasses.astuple(record)[1:])
 
 
 def test_sufficient_stats_hand_computed():

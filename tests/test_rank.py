@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from scrumrank.cli import VARIANTS
-from scrumrank.domain import MatchRecord, Venue, outcome_counts
+from scrumrank.domain import (
+    MatchRecord,
+    PointsSystem,
+    ResultOutcome,
+    Venue,
+    outcome_counts,
+)
 from scrumrank.estimate import FitConfig, PriorConfig, fit
 from scrumrank.ingest import load_matches
 from scrumrank.model import Parameters, VariantParameters, expected_points
@@ -40,6 +46,11 @@ def test_playing_records_tally():
         MatchRecord("A", "B", 33, 10, 4, 2),   # A wide win with bonus
         MatchRecord("B", "A", 18, 22, 2, 1),   # A narrow away win
         MatchRecord("A", "C", 16, 16, 2, 2),   # draw
+        # a declared result: C's narrow win, no try bonus for anyone
+        MatchRecord("C", "D", 0, 0, 0, 0,
+                    result_override=ResultOutcome.HOME_NARROW),
+        # at a neutral ground: D's wide win with bonus
+        MatchRecord("D", "C", 40, 3, 5, 0, venue=Venue.NEUTRAL),
     ]
     records = playing_records(matches)
     a = records["A"]
@@ -49,6 +60,15 @@ def test_playing_records_tally():
     b = records["B"]
     assert b.losing_bonuses == 1
     assert b.league_points == 0 + 1
+    assert records["C"] == TeamRecord("C", 3, 1, 1, 1, 0, 0, 2 + 4 + 0)
+    assert records["D"] == TeamRecord("D", 2, 1, 0, 1, 1, 1, 1 + 5)
+    assert list(records) == ["A", "B", "C", "D"]
+    # win 3, draw 1, loss 0: the bonuses stay one point each
+    three_point = playing_records(matches, PointsSystem(3, 1, 0))
+    assert {team: r.league_points for team, r in three_point.items()} == {
+        "A": 4 + 3 + 1, "B": 0 + 1, "C": 1 + 3 + 0, "D": 1 + 4}
+    assert all(three_point[team].won == records[team].won
+               for team in records)
 
 
 def test_lppm_perfect_season_with_all_bonuses():
