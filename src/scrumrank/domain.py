@@ -6,8 +6,9 @@ and a four-way try outcome (which sides reached the try-bonus threshold).
 League points are a function of that pair alone, so a season collapses to
 outcome counts per ordered (home, away, venue) triple plus a handful of
 totals, and those totals are exactly what the likelihood in
-:mod:`scrumrank.estimate` consumes. ``OutcomeCounts.columns`` is the one
-array view of that table and ``team_records`` the one per-team tally.
+:mod:`scrumrank.estimate` consumes. ``OutcomeCounts`` holds that table as
+sorted per-pair arrays, built by ``OutcomeCounts.tabulate`` alone, and
+``team_records`` is the one per-team tally over it.
 
 Everything here is a pure function of immutable values; no I/O.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -87,6 +89,11 @@ class PointsSystem:
     try_bonus_threshold: int = 4
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be an integer, got "
+                                 f"{value!r}")
         if not (self.win_points > self.draw_points > self.loss_points >= 0):
             raise ValueError("points must satisfy win > draw > loss >= 0")
         if self.losing_bonus_margin < 0:
@@ -224,7 +231,7 @@ def try_points_arrays() -> tuple[np.ndarray, np.ndarray]:
     return home, away
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairCounts:
     """Outcome frequencies for one ordered (home, away, venue) triple.
 
@@ -232,103 +239,97 @@ class PairCounts:
     the result counts only.
     """
 
-    result: np.ndarray = field(default_factory=lambda: np.zeros(5, dtype=int))
-    tries: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=int))
-
-    def validate(self):
-        if (self.result < 0).any() or (self.tries < 0).any():
-            raise ValueError("outcome counts must be non-negative")
-        if self.result.shape != (5,) or self.tries.shape != (4,):
-            raise ValueError("malformed count vectors")
+    result: np.ndarray
+    tries: np.ndarray
 
 
 PairKey = tuple[str, str, Venue]
 
 
-@dataclass(frozen=True)
-class PairColumns:
-    """An outcome table as parallel per-pair arrays: ``home`` and ``away``
-    index each pair's sides into ``teams``, ``home_ground`` is False at a
-    neutral ground, and ``result`` and ``tries`` are the outcome counts,
-    pairs x 5 and pairs x 4."""
-
-    teams: list[str]
-    home: np.ndarray
-    away: np.ndarray
-    home_ground: np.ndarray
-    result: np.ndarray
-    tries: np.ndarray
+def _empty(*shape: int) -> np.ndarray:
+    return np.zeros(shape, dtype=np.intp)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OutcomeCounts:
-    """Season-level outcome frequency table keyed by (home, away, venue)."""
+    """Season-level outcome frequency table, one row per ordered (home,
+    away, venue) triple, rows sorted by home team, away team and venue
+    value.
 
-    pairs: dict[PairKey, PairCounts] = field(default_factory=dict)
+    ``home`` and ``away`` index each row's sides into the sorted ``teams``,
+    ``home_ground`` is False at a neutral ground, and ``result`` and
+    ``tries`` are the outcome counts, rows x 5 and rows x 4. The default
+    is the empty table; ``tabulate`` builds every other.
+    """
 
-    def add(self, home: str, away: str, venue: Venue,
-            result: ResultOutcome, tries: TryOutcome | None):
-        """Record one match; ``tries=None`` keeps it out of try counts."""
-        if home == away:
-            raise ValueError(f"a team cannot play itself: {home!r}")
-        pc = self.pairs.setdefault((home, away, venue), PairCounts())
-        pc.result[RESULT_INDEX[result]] += 1
-        if tries is not None:
-            pc.tries[TRY_INDEX[tries]] += 1
+    teams: list[str] = field(default_factory=list)
+    home: np.ndarray = field(default_factory=lambda: _empty(0))
+    away: np.ndarray = field(default_factory=lambda: _empty(0))
+    home_ground: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=bool))
+    result: np.ndarray = field(default_factory=lambda: _empty(0, 5))
+    tries: np.ndarray = field(default_factory=lambda: _empty(0, 4))
 
-    def teams(self) -> list[str]:
-        names: set[str] = set()
-        for home, away, _ in self.pairs:
-            names.add(home)
-            names.add(away)
-        return sorted(names)
+    @classmethod
+    def tabulate(cls, home: Sequence[str], away: Sequence[str],
+                 home_ground: Sequence[bool], result: Sequence[int],
+                 tries: Sequence[int]) -> "OutcomeCounts":
+        """The table of a list of matches, given per match its sides, its
+        home-ground flag, its RESULT_ORDER cell and its TRY_ORDER cell; a
+        try cell of -1 keeps the match out of the try counts."""
+        teams = sorted({*home, *away})
+        index = {team: k for k, team in enumerate(teams)}
+        sides = np.array([[index[team] for team in home],
+                          [index[team] for team in away]], dtype=np.intp)
+        self_play = np.flatnonzero(sides[0] == sides[1])
+        if self_play.size:
+            raise ValueError("a team cannot play itself: "
+                             f"{home[int(self_play[0])]!r}")
+        neutral = ~np.asarray(home_ground, dtype=bool)
+        keys, row = np.unique((sides[0] * len(teams) + sides[1]) * 2
+                              + neutral, return_inverse=True)
+        n = len(keys)
+        tries = np.asarray(tries, dtype=np.intp)
+        counted = tries >= 0
+        return cls(
+            teams, keys // 2 // len(teams), keys // 2 % len(teams),
+            keys % 2 == 0,
+            np.bincount(row * 5 + np.asarray(result, dtype=np.intp),
+                        minlength=n * 5).reshape(n, 5),
+            np.bincount(row[counted] * 4 + tries[counted],
+                        minlength=n * 4).reshape(n, 4))
+
+    @property
+    def pairs(self) -> Mapping[PairKey, PairCounts]:
+        """Read-only ``{(home, away, venue): PairCounts}`` over the rows."""
+        result, tries = self.result.view(), self.tries.view()
+        result.flags.writeable = tries.flags.writeable = False
+        return MappingProxyType({
+            (self.teams[h], self.teams[a],
+             Venue.HOME_GROUND if on_ground else Venue.NEUTRAL):
+                PairCounts(r, t)
+            for h, a, on_ground, r, t in zip(
+                self.home.tolist(), self.away.tolist(),
+                self.home_ground.tolist(), result, tries)})
 
     def total_matches(self) -> int:
-        return sum(int(pc.result.sum()) for pc in self.pairs.values())
-
-    def columns(self, teams: Sequence[str]) -> PairColumns:
-        """The pairs as parallel arrays, sorted by home team, away team and
-        venue value, with both sides indexed into ``teams``.
-
-        A team missing from ``teams`` raises KeyError; the first one found,
-        reading each pair's home side before its away side, is named.
-        """
-        index = {team: k for k, team in enumerate(teams)}
-        items = sorted(self.pairs.items(), key=lambda kv: (
-            kv[0][0], kv[0][1], kv[0][2].value))
-        n = len(items)
-        sides = [(index[home], index[away]) for (home, away, _), _ in items]
-        home, away = np.array(sides, dtype=int).reshape(n, 2).T.copy()
-        return PairColumns(
-            list(teams), home, away,
-            np.array([venue is Venue.HOME_GROUND
-                      for (_, _, venue), _ in items], dtype=bool),
-            np.array([pc.result for _, pc in items]).reshape(n, 5),
-            np.array([pc.tries for _, pc in items]).reshape(n, 4))
+        return int(self.result.sum())
 
     def validate(self):
-        """Raise for the first bad pair in insertion order.
-
-        Self-play and malformed vectors are found pair by pair; the count
-        checks run on the stacked vectors of the pairs before the first
-        such pair.
-        """
-        keys, counts = list(self.pairs), list(self.pairs.values())
-        first = next((k for k, ((home, away, _), pc)
-                      in enumerate(self.pairs.items())
-                      if home == away or pc.result.shape != (5,)
-                      or pc.tries.shape != (4,)), len(keys))
-        result = np.array([pc.result for pc in counts[:first]]).reshape(-1, 5)
-        tries = np.array([pc.tries for pc in counts[:first]]).reshape(-1, 4)
-        bad = np.flatnonzero((result < 0).any(axis=1) | (tries < 0).any(axis=1)
-                             | (tries.sum(axis=1) > result.sum(axis=1)))
-        index = int(bad[0]) if bad.size else first
-        if index == len(keys):
+        """Raise for the first bad row: self-play, a negative count, or
+        more try outcomes than matches, checked in that order."""
+        self_play = self.home == self.away
+        negative = (self.result < 0).any(axis=1) | (self.tries < 0).any(axis=1)
+        excess = self.tries.sum(axis=1) > self.result.sum(axis=1)
+        bad = np.flatnonzero(self_play | negative | excess)
+        if not bad.size:
             return
-        home, away, _ = keys[index]
-        if home == away:
+        k = int(bad[0])
+        home, away = self.teams[self.home[k]], self.teams[self.away[k]]
+        if self_play[k]:
             raise ValueError(f"a team cannot play itself: {home!r}")
-        counts[index].validate()
+        if negative[k]:
+            raise ValueError("outcome counts must be non-negative")
         raise ValueError(
             f"pair {home!r} vs {away!r}: more try outcomes than matches")
 
@@ -336,13 +337,15 @@ class OutcomeCounts:
 def outcome_counts(matches: Iterable[MatchRecord],
                    points: PointsSystem = DEFAULT_POINTS) -> OutcomeCounts:
     """Tally classified outcomes for a collection of match records."""
-    counts = OutcomeCounts()
-    for match in matches:
-        result, tries = classify_match(match, points)
-        if match.result_override is not None:
-            tries = None
-        counts.add(match.home_team, match.away_team, match.venue, result, tries)
-    return counts
+    matches = list(matches)
+    cells = [classify_match(match, points) for match in matches]
+    return OutcomeCounts.tabulate(
+        [match.home_team for match in matches],
+        [match.away_team for match in matches],
+        [match.venue is Venue.HOME_GROUND for match in matches],
+        [RESULT_INDEX[result] for result, _ in cells],
+        [-1 if match.result_override is not None else TRY_INDEX[tries]
+         for match, (_, tries) in zip(matches, cells)])
 
 
 @dataclass(frozen=True)
@@ -364,27 +367,27 @@ class TeamRecord:
         return self.league_points / self.played
 
 
-def team_records(view: PairColumns,
+def team_records(counts: OutcomeCounts,
                  points: PointsSystem = DEFAULT_POINTS
                  ) -> dict[str, TeamRecord]:
-    """Every team's playing record over an outcome table's columns, in the
-    order of ``view.teams``.
+    """Every team's playing record over an outcome table, in the order of
+    ``counts.teams``.
 
     Declared results enter the result counts only, so each counts as a
     narrow win that takes no try bonus.
     """
-    r, t = view.result, view.tries
+    r, t = counts.result, counts.tries
     res_home, res_away = result_points_arrays(points)
     try_home, try_away = try_points_arrays()
     played, drawn = r.sum(axis=1), r[:, 2]
     home_won, away_won = r[:, :2].sum(axis=1), r[:, 3:].sum(axis=1)
     # per pair and side: played, won, drawn, lost, try bonuses, losing
     # bonuses and league points
-    sides = ((view.home, [played, home_won, drawn, away_won, t @ try_home,
+    sides = ((counts.home, [played, home_won, drawn, away_won, t @ try_home,
                           r[:, 3], r @ res_home + t @ try_home]),
-             (view.away, [played, away_won, drawn, home_won, t @ try_away,
+             (counts.away, [played, away_won, drawn, home_won, t @ try_away,
                           r[:, 1], r @ res_away + t @ try_away]))
-    m, k = len(view.teams), len(sides[0][1])
+    m, k = len(counts.teams), len(sides[0][1])
     tally = np.zeros(m * k)
     for team, columns in sides:
         slots = team[:, None] * k + np.arange(k)
@@ -392,7 +395,7 @@ def team_records(view: PairColumns,
                              m * k)
     rows = np.rint(tally).astype(int).reshape(m, k).tolist()
     return {team: TeamRecord(team, *row)
-            for team, row in zip(view.teams, rows)}
+            for team, row in zip(counts.teams, rows)}
 
 
 @dataclass(frozen=True)
@@ -420,14 +423,13 @@ def sufficient_stats_from_counts(counts: OutcomeCounts,
                                  ) -> SuffStats:
     """Aggregate an outcome table into the model's sufficient statistics."""
     counts.validate()
-    view = counts.columns(counts.teams())
-    records = team_records(view, points)
-    result, tries = view.result.sum(axis=0), view.tries.sum(axis=0)
+    records = team_records(counts, points)
+    result, tries = counts.result.sum(axis=0), counts.tries.sum(axis=0)
     res_home, res_away = result_points_arrays(points)
     try_home, try_away = try_points_arrays()
-    on_ground = view.home_ground
-    edge = (view.result[on_ground].sum(axis=0) @ (res_home - res_away)
-            + view.tries[on_ground].sum(axis=0) @ (try_home - try_away))
+    on_ground = counts.home_ground
+    edge = (counts.result[on_ground].sum(axis=0) @ (res_home - res_away)
+            + counts.tries[on_ground].sum(axis=0) @ (try_home - try_away))
     return SuffStats(
         points={team: record.league_points
                 for team, record in records.items()},

@@ -58,7 +58,6 @@ import numpy as np
 from .domain import (
     DEFAULT_POINTS,
     OutcomeCounts,
-    PairColumns,
     PointsSystem,
     TeamRecord,
     team_records,
@@ -71,6 +70,7 @@ from .model import (
     Parameters,
     ParameterError,
     VariantConfig,
+    _positive,
     log_cell_weights,
     normalize_parameters,
     parameter_layout,
@@ -286,9 +286,7 @@ class _Problem:
                 f"parameters are {list(names)}"
             )
         for name, value in freeze.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ParameterError(f"frozen {name} must be positive, got "
-                                     f"{value!r}")
+            _positive(f"frozen {name}", value)
         self.frozen_logs = {name: math.log(value)
                             for name, value in freeze.items()}
         self.frozen_levels = dict(freeze)
@@ -302,24 +300,30 @@ class _Problem:
     @classmethod
     def from_counts(cls, teams, counts: OutcomeCounts, variant, prior_weight,
                     points, freeze=None, pin_first=False) -> "_Problem":
-        try:
-            view = counts.columns(teams)
-        except KeyError as error:
-            raise ParameterError(f"counts mention {error.args[0]!r}, which "
-                                 "is not in the team list") from None
-        return cls.from_columns(view, variant, prior_weight, points, freeze,
-                                pin_first)
+        """The result and try blocks over the table's pairs, with both
+        sides indexed into ``teams``.
 
-    @classmethod
-    def from_columns(cls, view: PairColumns, variant, prior_weight, points,
-                     freeze=None, pin_first=False) -> "_Problem":
-        """The result and try blocks over a view's pairs and teams."""
-        return cls(view.teams, view.home, view.away,
-                   view.home_ground.astype(float),
+        A team of the table missing from ``teams`` raises ParameterError;
+        the first one found, reading each pair's home side before its away
+        side, is named.
+        """
+        home, away = counts.home, counts.away
+        if list(teams) != counts.teams:
+            index = {team: k for k, team in enumerate(teams)}
+            position = np.array([index.get(team, -1) for team in counts.teams],
+                                dtype=np.intp)
+            sides = np.stack([home, away], axis=1).ravel()
+            missing = np.flatnonzero(position[sides] < 0)
+            if missing.size:
+                raise ParameterError(
+                    f"counts mention {counts.teams[sides[missing[0]]]!r}, "
+                    "which is not in the team list")
+            home, away = position[home], position[away]
+        return cls(teams, home, away, counts.home_ground.astype(float),
                    [(result_block(points),
-                     np.ascontiguousarray(view.result.T, dtype=float)),
+                     np.ascontiguousarray(counts.result.T, dtype=float)),
                     (try_block(variant),
-                     np.ascontiguousarray(view.tries.T, dtype=float))],
+                     np.ascontiguousarray(counts.tries.T, dtype=float))],
                    variant, prior_weight, freeze, pin_first)
 
     # ---- parameter packing ----
@@ -801,23 +805,22 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
     a diagnosis.
     """
     counts.validate()
-    teams = counts.teams()
+    teams = counts.teams
     if len(teams) < 2:
         raise ParameterError("fitting needs at least two teams' matches")
     w = config.prior.weight
     # with no prior the likelihood is scale-invariant and one strength must
     # be pinned, unless a frozen scale-absorbing parameter already fixed it
     pin = w == 0.0 and not _gauge_broken(config.variant, config.freeze)
-    view = counts.columns(teams)
-    problem = _Problem.from_columns(
-        view, config.variant, w, config.points_system,
+    problem = _Problem.from_counts(
+        teams, counts, config.variant, w, config.points_system,
         freeze=config.freeze, pin_first=pin,
     )
     result = minimize(problem, np.zeros(problem.n_free),
                       config.gradient_tolerance, config.max_iterations)
     nit, grad_inf = result.nit, result.grad_inf
     raw = problem.x_to_parameters(result.x)
-    records = team_records(view, config.points_system)
+    records = team_records(counts, config.points_system)
     if not result.converged:
         diagnosis = _diagnose(records, w)
         raise NonConvergenceError(

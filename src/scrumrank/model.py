@@ -137,8 +137,8 @@ GAUGE_POWER = {
 
 
 def _positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)
-            and value > 0):
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
         raise ParameterError(f"{name} must be positive and finite, "
                              f"got {value!r}")
 

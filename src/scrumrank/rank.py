@@ -68,8 +68,7 @@ def playing_records(matches: Iterable[MatchRecord],
                     points: PointsSystem = DEFAULT_POINTS
                     ) -> dict[str, TeamRecord]:
     """Aggregate per-team playing records from match results."""
-    counts = outcome_counts(matches, points)
-    return team_records(counts.columns(counts.teams()), points)
+    return team_records(outcome_counts(matches, points), points)
 
 
 def lppm(matches: Iterable[MatchRecord],

@@ -36,8 +36,6 @@ import numpy as np
 from .domain import (
     DEFAULT_POINTS,
     OutcomeCounts,
-    PairCounts,
-    PairKey,
     PointsSystem,
     RESULT_ORDER,
     TRY_ORDER,
@@ -245,27 +243,15 @@ def simulate_season(params: Parameters, fixtures: Sequence[Fixture],
     One model call gives the whole season's probabilities, and each
     fixture's two uniforms are those of its own stream, so every draw
     equals ``sample_match`` with ``fixture_rng(seed, replicate, index)``.
-    Pairs enter the table in the order of their first fixture.
     """
-    dist = outcome_distribution(params, [f.home_team for f in fixtures],
-                                [f.away_team for f in fixtures], variant,
-                                [f.venue for f in fixtures], points)
+    home = [f.home_team for f in fixtures]
+    away = [f.away_team for f in fixtures]
+    venues = [f.venue for f in fixtures]
+    dist = outcome_distribution(params, home, away, variant, venues, points)
     u_result, u_tries = _fixture_uniforms(seed, replicate, len(fixtures))
-    pair_ids: dict[PairKey, int] = {}
-    ids = np.array([pair_ids.setdefault((f.home_team, f.away_team, f.venue),
-                                        len(pair_ids)) for f in fixtures],
-                   dtype=np.intp)
-
-    def tally(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cells = len(probs)
-        flat = ids * cells + _inverse_cdf(probs, u)
-        return np.bincount(flat, minlength=len(pair_ids) * cells
-                           ).reshape(len(pair_ids), cells)
-
-    result = tally(dist.result, u_result)
-    tries = tally(dist.tries, u_tries)
-    return OutcomeCounts({key: PairCounts(result[k], tries[k])
-                          for key, k in pair_ids.items()})
+    return OutcomeCounts.tabulate(
+        home, away, [venue is Venue.HOME_GROUND for venue in venues],
+        _inverse_cdf(dist.result, u_result), _inverse_cdf(dist.tries, u_tries))
 
 
 def _structural_values(params: Parameters,

@@ -21,11 +21,11 @@ import pathlib
 import numpy as np
 
 from scrumrank.domain import (
-    OutcomeCounts,
     ResultOutcome,
     TryOutcome,
     Venue,
     classify_match,
+    outcome_counts,
 )
 from scrumrank.model import Parameters
 from scrumrank.estimate import FitConfig, NonConvergenceError, PriorConfig, fit
@@ -136,13 +136,8 @@ def acceptable(rows: list[list[str]]) -> bool:
         return False
     if any(wins[t] == 0 or losses[t] == 0 for t in TEAMS):
         return False
-    counts = OutcomeCounts()
-    for record in records:
-        outcome, tries = classify_match(record)
-        counts.add(record.home_team, record.away_team, record.venue,
-                   outcome, tries)
     try:
-        fit(counts, FitConfig(prior=PriorConfig(weight=0.0)))
+        fit(outcome_counts(records), FitConfig(prior=PriorConfig(weight=0.0)))
     except NonConvergenceError:
         return False
     return True

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from scrumrank.cli import _load_parameters_file, main
+from scrumrank.ingest import load_matches
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -107,6 +108,18 @@ def test_fit_freeze_structural_round_trips(tmp_path):
     assert manifest["fit_config"]["freeze"] == {"kappa": 1.113}
 
 
+def test_fit_freeze_values_that_are_not_numbers_exit_two(tmp_path, capsys):
+    freeze_path = tmp_path / "freeze.json"
+    season = _season_path(tmp_path)
+    for value in ("abc", None, True):
+        freeze_path.write_text(json.dumps({"rho_n": value}))
+        code = main(["fit", str(season), str(tmp_path / "model.json"),
+                     "--freeze-structural", str(freeze_path)])
+        assert code == 2
+        assert "frozen rho_n must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_fit_rejected_rows_exit_three(tmp_path):
     code = main(["fit", str(DATA / "golden_cleaning_raw.csv"),
                  str(tmp_path / "model.json")])
@@ -164,7 +177,10 @@ def test_perfbench_tracer_wraps_and_restores_every_layer(tmp_path):
     assert all(getattr(module, attr) is original
                for module, attr, original in saved)
     assert metrics["estimate.fit_calls"] == 1
-    assert metrics["domain.pairs"] > 0
+    # the count perfbench reads from the table's pairs view
+    triples = {(match.home_team, match.away_team, match.venue) for match
+               in load_matches(DATA / "golden_season.csv").records}
+    assert metrics["domain.pairs"] == len(triples)
 
 
 def test_cli_import_loads_no_scipy():
@@ -191,11 +207,14 @@ def test_fit_points_system_override(tmp_path):
 
 def test_bad_points_file_exit_two(tmp_path):
     points_path = tmp_path / "points.json"
-    points_path.write_text(json.dumps({"win": 3}))
     season = _season_path(tmp_path)
-    code = main(["fit", str(season), str(tmp_path / "model.json"),
-                 "--points-system", str(points_path)])
-    assert code == 2
+    # an unknown key, and point values that are not integers
+    for doc in ({"win": 3}, {"win_points": "4"}, {"win_points": 4.5}):
+        points_path.write_text(json.dumps(doc))
+        code = main(["fit", str(season), str(tmp_path / "model.json"),
+                     "--points-system", str(points_path)])
+        assert code == 2
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_missing_input_exit_two(tmp_path, capsys):

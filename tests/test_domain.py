@@ -8,6 +8,8 @@ from scrumrank.domain import (
     DEFAULT_POINTS,
     RESULT_ORDER,
     TRY_ORDER,
+    RESULT_INDEX,
+    TRY_INDEX,
     MatchRecord,
     OutcomeCounts,
     PointsSystem,
@@ -97,6 +99,12 @@ def test_points_system_validation():
         PointsSystem(losing_bonus_margin=-1)
     with pytest.raises(ValueError):
         PointsSystem(try_bonus_threshold=0)
+    # every value must be an int, and a bool is not one
+    for bad in ({"win_points": "4"}, {"win_points": 4.5},
+                {"loss_points": False}, {"try_bonus_threshold": True},
+                {"losing_bonus_margin": 7.0}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PointsSystem(**bad)
 
 
 def test_points_system_dict_round_trip():
@@ -142,14 +150,32 @@ def test_league_points_of_classified_matches():
     assert league_points(*classify_match(narrow)) == (1, 5)
 
 
+def _table(*matches) -> OutcomeCounts:
+    """The table of (home, away, venue, result, tries) matches; tries None
+    keeps a match out of the try counts."""
+    home, away, venue, result, tries = zip(*matches)
+    return OutcomeCounts.tabulate(
+        home, away, [v is Venue.HOME_GROUND for v in venue],
+        [RESULT_INDEX[r] for r in result],
+        [-1 if t is None else TRY_INDEX[t] for t in tries])
+
+
+def _bumped(counts: OutcomeCounts, block: str, key, cell: int,
+            by: int) -> OutcomeCounts:
+    """The table with one pair's count in one block's cell moved by ``by``."""
+    bumped = getattr(counts, block).copy()
+    bumped[list(counts.pairs).index(key), cell] += by
+    return dataclasses.replace(counts, **{block: bumped})
+
+
 def test_outcome_counts_add_and_validate():
-    counts = OutcomeCounts()
-    counts.add("A", "B", Venue.HOME_GROUND, ResultOutcome.HOME_WIDE,
-               TryOutcome.HOME_BONUS)
-    counts.add("A", "B", Venue.HOME_GROUND, ResultOutcome.DRAW,
-               TryOutcome.ZERO_BONUS)
-    counts.add("B", "C", Venue.NEUTRAL, ResultOutcome.AWAY_NARROW, None)
-    assert counts.teams() == ["A", "B", "C"]
+    counts = _table(
+        ("A", "B", Venue.HOME_GROUND, ResultOutcome.HOME_WIDE,
+         TryOutcome.HOME_BONUS),
+        ("A", "B", Venue.HOME_GROUND, ResultOutcome.DRAW,
+         TryOutcome.ZERO_BONUS),
+        ("B", "C", Venue.NEUTRAL, ResultOutcome.AWAY_NARROW, None))
+    assert counts.teams == ["A", "B", "C"]
     assert counts.total_matches() == 3
     counts.validate()
     pair = counts.pairs[("A", "B", Venue.HOME_GROUND)]
@@ -157,33 +183,40 @@ def test_outcome_counts_add_and_validate():
     # the override match was kept out of the try counts
     neutral = counts.pairs[("B", "C", Venue.NEUTRAL)]
     assert neutral.result.sum() == 1 and neutral.tries.sum() == 0
+    with pytest.raises(ValueError, match="cannot play itself: 'A'"):
+        _table(("A", "B", Venue.HOME_GROUND, ResultOutcome.DRAW,
+                TryOutcome.ZERO_BONUS),
+               ("A", "A", Venue.HOME_GROUND, ResultOutcome.DRAW,
+                TryOutcome.ZERO_BONUS))
+    # the pairs view is read-only
     with pytest.raises(ValueError):
-        counts.add("A", "A", Venue.HOME_GROUND, ResultOutcome.DRAW,
-                   TryOutcome.ZERO_BONUS)
+        pair.tries[0] += 1
+    assert counts.tries.sum() == 2
 
 
 def test_outcome_counts_rejects_excess_try_outcomes():
-    counts = OutcomeCounts()
-    counts.add("A", "B", Venue.HOME_GROUND, ResultOutcome.DRAW,
-               TryOutcome.ZERO_BONUS)
-    counts.pairs[("A", "B", Venue.HOME_GROUND)].tries[0] += 1
+    counts = _table(("A", "B", Venue.HOME_GROUND, ResultOutcome.DRAW,
+                     TryOutcome.ZERO_BONUS))
+    counts = _bumped(counts, "tries", ("A", "B", Venue.HOME_GROUND), 0, 1)
     with pytest.raises(ValueError):
         counts.validate()
 
 
 def test_outcome_counts_validate_names_the_first_bad_pair():
-    counts = OutcomeCounts()
-    for home, away in (("A", "B"), ("C", "D"), ("E", "F")):
-        counts.add(home, away, Venue.HOME_GROUND, ResultOutcome.DRAW,
-                   TryOutcome.ZERO_BONUS)
-    counts.pairs[("E", "F", Venue.HOME_GROUND)].tries[0] += 1
-    counts.pairs[("C", "D", Venue.HOME_GROUND)].tries[1] += 1
+    counts = _table(*((home, away, Venue.HOME_GROUND, ResultOutcome.DRAW,
+                       TryOutcome.ZERO_BONUS)
+                      for home, away in (("A", "B"), ("C", "D"), ("E", "F"))))
+    counts = _bumped(counts, "tries", ("E", "F", Venue.HOME_GROUND), 0, 1)
+    counts = _bumped(counts, "tries", ("C", "D", Venue.HOME_GROUND), 1, 1)
     with pytest.raises(ValueError, match="'C' vs 'D'"):
         counts.validate()
     # a negative count before both excess pairs is reported first
-    counts.pairs[("A", "B", Venue.HOME_GROUND)].result[0] -= 2
+    counts = _bumped(counts, "result", ("A", "B", Venue.HOME_GROUND), 0, -2)
     with pytest.raises(ValueError, match="non-negative"):
         counts.validate()
+    # a row that pairs a team with itself is reported before its counts
+    with pytest.raises(ValueError, match="cannot play itself: 'A'"):
+        dataclasses.replace(counts, away=counts.home).validate()
 
 
 def _hand_season() -> list[MatchRecord]:
@@ -230,7 +263,7 @@ def test_team_records_equal_a_match_by_match_tally(points):
     matches = [*load_matches(DATA / "golden_season.csv").records,
                *_hand_season()]
     counts = outcome_counts(matches, points)
-    records = team_records(counts.columns(counts.teams()), points)
+    records = team_records(counts, points)
     assert records == _records_match_by_match(matches, points)
     assert list(records) == sorted(records)
     assert all(type(value) is int for record in records.values()
@@ -266,6 +299,27 @@ def test_outcome_counts_groups_by_venue():
     ]
     counts = outcome_counts(records)
     assert len(counts.pairs) == 2
+    # the Home row sorts before the Neutral row of the same pair, whatever
+    # the order of the matches
+    for table in (counts, outcome_counts(records[::-1])):
+        assert list(table.pairs) == [("A", "B", Venue.HOME_GROUND),
+                                     ("A", "B", Venue.NEUTRAL)]
+        assert table.home_ground.tolist() == [True, False]
+
+
+def test_outcome_counts_do_not_depend_on_match_order():
+    matches = [*load_matches(DATA / "golden_season.csv").records,
+               *_hand_season()]
+    counts = outcome_counts(matches)
+    shuffled = [matches[k] for k in
+                np.random.default_rng(5).permutation(len(matches))]
+    again = outcome_counts(shuffled)
+    assert again.teams == counts.teams
+    for name in ("home", "away", "home_ground", "result", "tries"):
+        assert np.array_equal(getattr(again, name), getattr(counts, name))
+    # rows sorted by home team, away team and venue value
+    keys = [(home, away, venue.value) for home, away, venue in counts.pairs]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_enum_orders_are_stable():

@@ -10,10 +10,7 @@ from scipy.special import logsumexp
 
 from scrumrank.domain import (
     DEFAULT_POINTS,
-    RESULT_ORDER,
-    TRY_ORDER,
     OutcomeCounts,
-    Venue,
     outcome_counts,
 )
 import scrumrank.estimate as estimate
@@ -84,15 +81,15 @@ def _random_params(rng, teams, variant):
 
 
 def _random_counts(rng, teams) -> OutcomeCounts:
-    counts = OutcomeCounts()
+    matches = []  # (home, away, home ground, result cell, try cell)
     n_matches = int(rng.integers(6, 14))
     for _ in range(n_matches):
         i, j = rng.choice(len(teams), size=2, replace=False)
-        venue = Venue.HOME_GROUND if rng.random() < 0.8 else Venue.NEUTRAL
-        result = RESULT_ORDER[int(rng.integers(0, 5))]
-        tries = TRY_ORDER[int(rng.integers(0, 4))]
-        counts.add(teams[i], teams[j], venue, result, tries)
-    return counts
+        on_ground = rng.random() < 0.8
+        result = int(rng.integers(0, 5))
+        tries = int(rng.integers(0, 4))
+        matches.append((teams[i], teams[j], on_ground, result, tries))
+    return OutcomeCounts.tabulate(*zip(*matches))
 
 
 def _bump(params: Parameters, variant: VariantConfig, group: str,
@@ -155,7 +152,7 @@ def _score_entry(s, group, key):
 def check_gradient(params, counts, variant, weight, h=1e-5,
                    rtol=1e-6, atol=1e-9):
     prior = PriorConfig(weight=weight)
-    teams = counts.teams()
+    teams = counts.teams
     s = score(params, counts, prior=prior, variant=variant)
     for group, key in _gradient_entries(params, variant, teams):
         analytic = _score_entry(s, group, key)
@@ -220,7 +217,7 @@ def test_fitted_strengths_have_unit_generalized_mean():
 def test_raw_and_normalized_parameters_agree_on_probabilities():
     counts = outcome_counts(load_matches(DATA / "golden_season.csv").records)
     model = fit(counts, FitConfig(prior=PriorConfig(weight=1.0)))
-    teams = counts.teams()
+    teams = counts.teams
     for home, away in ((teams[0], teams[1]), (teams[2], teams[5])):
         raw = outcome_distribution(model.raw_parameters, home, away)
         normalized = outcome_distribution(model.parameters, home, away)
@@ -230,7 +227,7 @@ def test_raw_and_normalized_parameters_agree_on_probabilities():
 def test_zero_prior_pins_then_normalizes():
     counts = outcome_counts(load_matches(DATA / "golden_season.csv").records)
     model = fit(counts, FitConfig(prior=PriorConfig(weight=0.0)))
-    first_team = counts.teams()[0]
+    first_team = counts.teams[0]
     assert model.raw_parameters.strengths[first_team] == 1.0
     assert abs(generalized_mean(model.parameters.strengths) - 1.0) < 1e-10
 
@@ -244,9 +241,7 @@ def test_fit_is_deterministic():
 def test_single_decisive_match_diverges_without_prior():
     # with the structural block frozen, a lone maximum-points win pushes
     # the winner's strength to infinity unless the prior anchors it
-    counts = OutcomeCounts()
-    counts.add("Winner", "Loser", Venue.HOME_GROUND,
-               RESULT_ORDER[0], TRY_ORDER[1])
+    counts = OutcomeCounts.tabulate(["Winner"], ["Loser"], [True], [0], [1])
     fixed = {"rho_n": 0.448, "rho_d": 0.212, "tau_b": 0.042,
              "tau_z": 2.801, "kappa": 1.113}
     with pytest.raises(NonConvergenceError) as err:
@@ -327,6 +322,10 @@ def test_freeze_rejects_unknown_or_invalid_names():
         fit(counts, FitConfig(freeze={"gamma": 1.0}))
     with pytest.raises(ParameterError):
         fit(counts, FitConfig(freeze={"rho_n": -1.0}))
+    # a frozen value must be a real number, and a bool is not one
+    for bad in ("abc", None, True, math.inf):
+        with pytest.raises(ParameterError, match="frozen rho_n"):
+            fit(counts, FitConfig(freeze={"rho_n": bad}))
 
 
 def test_fit_requires_two_teams():
@@ -360,7 +359,7 @@ def test_log_likelihood_is_maximal_at_the_fit():
     model = fit(counts, config)
     best = log_likelihood(model.raw_parameters, counts, prior=config.prior)
     rng = np.random.default_rng(5)
-    teams = counts.teams()
+    teams = counts.teams
     for _ in range(5):
         team = teams[int(rng.integers(len(teams)))]
         worse = _bump(model.raw_parameters, DEFAULT_VARIANT, "strengths",
@@ -429,7 +428,7 @@ def _hessian_by_central_differences(problem: _Problem, x: np.ndarray,
 def test_hessian_matches_central_differences(variant, weight, freeze,
                                              pin_first):
     counts = _golden_counts()  # two of its fixtures are at neutral venues
-    problem = _Problem.from_counts(counts.teams(), counts, variant, weight,
+    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     x = np.random.default_rng(31).normal(0.0, 0.5, problem.n_free)
@@ -455,7 +454,7 @@ def test_hessian_from_evaluated_probabilities_equals_a_fresh_one(
     counts = _golden_counts()
 
     def problem():
-        return _Problem.from_counts(counts.teams(), counts, variant, weight,
+        return _Problem.from_counts(counts.teams, counts, variant, weight,
                                     DEFAULT_POINTS, freeze=freeze,
                                     pin_first=pin_first)
 
@@ -505,7 +504,7 @@ def test_fit_runs_the_kernel_only_for_evaluations(monkeypatch, variant):
 @pytest.mark.parametrize("dropped", [(0,), (0, 1), (-1,), (1, -1)])
 def test_problem_names_the_first_team_missing_from_the_list(dropped):
     counts = _golden_counts()
-    teams = counts.teams()
+    teams = counts.teams
     gone = {teams[k] for k in dropped}
     # the pairs in the problem's order, home before away within each
     keys = sorted(counts.pairs, key=lambda k: (k[0], k[1], k[2].value))
@@ -573,7 +572,7 @@ def test_exhausted_step_halvings_are_a_nonconvergence(monkeypatch):
     assert "step halvings" in str(err.value)
     assert err.value.iterations == 1
     assert err.value.best_parameters.strengths == {
-        team: 1.0 for team in _golden_counts().teams()}
+        team: 1.0 for team in _golden_counts().teams}
 
 
 @pytest.mark.parametrize("weight", [0.0, 1.0])
@@ -651,7 +650,7 @@ GAUGES = [
 def test_block_direction_equals_a_dense_solve(schedule, variant, weight,
                                               freeze, pin_first):
     counts = SCHEDULES[schedule](variant)
-    problem = _Problem.from_counts(counts.teams(), counts, variant, weight,
+    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     assert len(problem._hessian_plan().bounds) - 1 >= 2
@@ -671,7 +670,7 @@ def test_block_plan_partitions_and_bounds_the_hessian(schedule, variant,
                                                       weight, freeze,
                                                       pin_first):
     counts = SCHEDULES[schedule](variant)
-    problem = _Problem.from_counts(counts.teams(), counts, variant, weight,
+    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     plan = problem._hessian_plan()
@@ -705,7 +704,7 @@ def test_block_plan_partitions_and_bounds_the_hessian(schedule, variant,
 ], ids=["golden", "double-round-robin-20"])
 def test_round_robin_plans_one_block_in_x_order(counts, weight, pin_first):
     counts = counts()
-    problem = _Problem.from_counts(counts.teams(), counts, DEFAULT_VARIANT,
+    problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
                                    weight, DEFAULT_POINTS,
                                    pin_first=pin_first)
     plan = problem._hessian_plan()
@@ -715,7 +714,7 @@ def test_round_robin_plans_one_block_in_x_order(counts, weight, pin_first):
 
 def test_singular_middle_block_is_a_nonconvergence(monkeypatch):
     counts = _ring_counts(DEFAULT_VARIANT)
-    problem = _Problem.from_counts(counts.teams(), counts, DEFAULT_VARIANT,
+    problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
                                    1.0, DEFAULT_POINTS)
     assert len(problem._hessian_plan().bounds) - 1 >= 3
     solve = np.linalg.solve

@@ -171,7 +171,7 @@ def test_simulate_season_tabulates_every_fixture():
     fixtures = double_round_robin(["A", "B", "C"])
     counts = simulate_season(params, fixtures, seed=7)
     assert counts.total_matches() == len(fixtures)
-    assert counts.teams() == ["A", "B", "C"]
+    assert counts.teams == ["A", "B", "C"]
     counts.validate()
     for pc in counts.pairs.values():
         assert pc.result.sum() == pc.tries.sum()
@@ -233,12 +233,14 @@ def test_simulate_season_equals_per_fixture_sample_match_draws():
     for name, variant in VARIANTS.items():
         counts = simulate_season(params, fixtures, seed=17, replicate=2,
                                  variant=variant)
-        tally = OutcomeCounts()
-        for index, fixture in enumerate(fixtures):
-            result, tries = sample_match(params, fixture,
-                                         fixture_rng(17, 2, index), variant)
-            tally.add(fixture.home_team, fixture.away_team, fixture.venue,
-                      result, tries)
+        draws = [sample_match(params, fixture, fixture_rng(17, 2, index),
+                              variant)
+                 for index, fixture in enumerate(fixtures)]
+        tally = OutcomeCounts.tabulate(
+            [f.home_team for f in fixtures], [f.away_team for f in fixtures],
+            [f.venue is Venue.HOME_GROUND for f in fixtures],
+            [RESULT_INDEX[result] for result, _ in draws],
+            [TRY_INDEX[tries] for _, tries in draws])
         assert _counts_equal(counts, tally), name
 
 
