@@ -61,7 +61,6 @@ from .model import (
     StructuralInterpretation,
     TryModel,
     VariantConfig,
-    VariantParameters,
     expected_points,
     gauge_transform,
     generalized_mean,

@@ -16,9 +16,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
-from .domain import DEFAULT_POINTS, PointsSystem, outcome_counts
+from .domain import (
+    DEFAULT_POINTS,
+    PointsSystem,
+    json_object,
+    outcome_counts,
+)
 from .estimate import (
     FitConfig,
     FittedModel,
@@ -78,9 +84,7 @@ def _write_text(path: str, text: str):
 def _load_points(path: str | None) -> PointsSystem:
     if path is None:
         return DEFAULT_POINTS
-    doc = json.loads(_read_text(path))
-    if not isinstance(doc, dict):
-        raise ValueError("points-system file must hold a JSON object")
+    doc = json_object(json.loads(_read_text(path)), "points-system file")
     allowed = list(DEFAULT_POINTS.to_dict())
     unknown = set(doc) - set(allowed)
     if unknown:
@@ -95,9 +99,7 @@ def _load_parameters_file(path: str):
     Returns (parameters, variant or None, points or None).
     """
     text = _read_text(path)
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+    doc = json_object(json.loads(text), path)
     if "parameters" in doc:
         model = FittedModel.from_json(text)
         return model.parameters, model.variant, model.points_system
@@ -143,7 +145,7 @@ def _report_rejections(result: CleanResult) -> bool:
 
 
 def _structural_line(model: FittedModel) -> str:
-    return ", ".join(f"{name}={model.parameters.value(name):.6g}"
+    return ", ".join(f"{name}={getattr(model.parameters, name):.6g}"
                      for name in parameter_layout(model.variant).structural)
 
 
@@ -167,7 +169,7 @@ def _print_fit_summary(model: FittedModel):
     print(f"structural parameters: {_structural_line(model)}")
     params = model.parameters
     names = parameter_layout(model.variant).strength_tables
-    tables = [params.value(name) for name in names]
+    tables = [getattr(params, name) for name in names]
     print(f"{' / '.join(names)} (generalized mean 1):")
     for team in sorted(tables[0], key=tables[0].get, reverse=True):
         print(f"  {team}: " + " / ".join(f"{table[team]:.4f}"
@@ -253,7 +255,7 @@ def _cmd_rank(args, argv) -> int:
               f"points per match {row.lppm:.4f}")
     if args.prev_ranks:
         prev = read_previous_ranks(_read_text(args.prev_ranks))
-        merit = merit_points(matches, prev, points)
+        merit = merit_points(records, matches, prev)
         merit_table = build_table(merit, records, method="MeritPoints",
                                   min_matches=args.min_matches)
         merit_path = _sibling(args.table, "_merit")
@@ -321,23 +323,12 @@ def _cmd_interpret(args, argv) -> int:
         raise ValueError(
             "structural interpretation is defined for the default variant "
             "(opposition-dependent try bonuses, single home factor)")
+    params.validate(variant)
     interp = interpret_structural(params, points)
     _print_interpretation(params, points)
     if args.output:
-        def rates_dict(rates):
-            return {
-                "wide_result": rates.wide_result,
-                "narrow_result": rates.narrow_result,
-                "draw": rates.draw,
-                "home_away_win_ratio": rates.home_away_win_ratio,
-                "both_try_bonus": rates.both_try_bonus,
-                "zero_try_bonus": rates.zero_try_bonus,
-            }
-
-        _write_text(args.output, json.dumps({
-            "with_home_advantage": rates_dict(interp.with_home_advantage),
-            "neutral": rates_dict(interp.neutral),
-        }, indent=2, sort_keys=True) + "\n")
+        _write_text(args.output, json.dumps(asdict(interp), indent=2,
+                                            sort_keys=True) + "\n")
         _write_manifest("interpret", argv, [args.model], [args.output],
                         None, points)
     return 0

@@ -72,6 +72,14 @@ RESULT_INDEX = {outcome: k for k, outcome in enumerate(RESULT_ORDER)}
 TRY_INDEX = {outcome: k for k, outcome in enumerate(TRY_ORDER)}
 
 
+def json_object(value, name: str) -> Mapping:
+    """``value`` when it is a JSON object, else a ValueError naming the
+    section ``name``."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"schema error, {name} must be a JSON object")
+    return value
+
+
 @dataclass(frozen=True)
 class PointsSystem:
     """League points on offer for each element of a match outcome.
@@ -108,7 +116,7 @@ class PointsSystem:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "PointsSystem":
         """Inverse of ``to_dict``; absent keys keep their defaults."""
-        return cls(**doc)
+        return cls(**json_object(doc, "points_system"))
 
 
 DEFAULT_POINTS = PointsSystem()

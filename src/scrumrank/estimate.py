@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,6 +60,7 @@ from .domain import (
     OutcomeCounts,
     PointsSystem,
     TeamRecord,
+    json_object,
     team_records,
 )
 from .model import (
@@ -130,15 +131,13 @@ class PriorConfig:
     against a fixed reference opponent, each weighted by ``weight``."""
 
     weight: float = 0.0
-    dummy_strength: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight >= 0):
-            raise ParameterError(f"prior weight must be non-negative, got "
-                                 f"{self.weight!r}")
-        if self.dummy_strength != 1.0:
-            raise ParameterError("the reference opponent's strength is fixed "
-                                 "at 1")
+        if not (isinstance(self.weight, (int, float))
+                and not isinstance(self.weight, bool)
+                and math.isfinite(self.weight) and self.weight >= 0):
+            raise ParameterError(f"prior weight must be a non-negative "
+                                 f"number, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -348,9 +347,9 @@ class _Problem:
         """Inverse of unpack for a full (unpinned) layout."""
         if self.pinned:
             raise ParameterError("cannot pack parameters into a pinned layout")
-        parts = [math.log(params.value(name)[t])
+        parts = [math.log(getattr(params, name)[t])
                  for name in self.layout.tables for t in self.teams]
-        parts += [math.log(params.value(name))
+        parts += [math.log(getattr(params, name))
                   for name in self.free_structural]
         return np.array(parts)
 
@@ -362,7 +361,7 @@ class _Problem:
         values.update({name: math.exp(slog[name])
                        for name in self.free_structural})
         values.update(self.frozen_levels)  # keep frozen values exact
-        return Parameters(strengths={}).with_values(values)
+        return replace(Parameters(strengths={}), **values)
 
     # ---- likelihood ----
 
@@ -582,7 +581,7 @@ def _full_problem(params: Parameters, counts: OutcomeCounts,
                   prior: PriorConfig, variant: VariantConfig,
                   points: PointsSystem) -> tuple[_Problem, np.ndarray]:
     params.validate(variant)
-    teams = sorted(params.value(parameter_layout(variant).home))
+    teams = sorted(getattr(params, parameter_layout(variant).home))
     problem = _Problem.from_counts(teams, counts, variant, prior.weight,
                                    points)
     return problem, problem.pack(params)
@@ -714,6 +713,11 @@ class ConvergenceReport:
     expected_points: Mapping[str, float]
 
 
+# the sections of a fitted-model file, each a JSON object
+_MODEL_SECTIONS = ("variant", "prior", "points_system", "parameters",
+                   "raw_parameters", "convergence")
+
+
 @dataclass(frozen=True)
 class FittedModel:
     """A converged fit: reported parameters, raw parameters, diagnostics.
@@ -735,31 +739,35 @@ class FittedModel:
     def to_json(self) -> str:
         doc = {
             "variant": self.variant.to_dict(),
-            "prior": {"weight": self.prior.weight,
-                      "dummy_strength": self.prior.dummy_strength},
+            # the reference opponent's strength, fixed at 1
+            "prior": {"weight": self.prior.weight, "dummy_strength": 1.0},
             "points_system": self.points_system.to_dict(),
             "parameters": self.parameters.to_dict(),
             "raw_parameters": self.raw_parameters.to_dict(),
-            "convergence": {
-                "iterations": self.report.iterations,
-                "final_gradient_norm": self.report.final_gradient_norm,
-                "log_likelihood": self.report.log_likelihood,
-                "observed_points": dict(self.report.observed_points),
-                "expected_points": dict(self.report.expected_points),
-            },
+            # vars, not asdict: asdict deep-copies every per-team float
+            "convergence": vars(self.report),
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FittedModel":
-        doc = json.loads(text)
-
+        doc = json_object(json.loads(text), "model file")
+        for name in _MODEL_SECTIONS:
+            json_object(doc[name], name)
+        prior = doc["prior"]
+        unknown = set(prior) - {"weight", "dummy_strength"}
+        if unknown:
+            raise ValueError(f"schema error, unknown prior keys "
+                             f"{sorted(unknown)}")
+        if prior.get("dummy_strength", 1.0) != 1.0:
+            raise ParameterError("the reference opponent's strength is fixed "
+                                 "at 1")
         conv = doc["convergence"]
         return cls(
             parameters=Parameters.from_dict(doc["parameters"]),
             raw_parameters=Parameters.from_dict(doc["raw_parameters"]),
             variant=VariantConfig.from_dict(doc["variant"]),
-            prior=PriorConfig(**doc["prior"]),
+            prior=PriorConfig(prior.get("weight", 0.0)),
             points_system=PointsSystem.from_dict(doc["points_system"]),
             report=ConvergenceReport(
                 iterations=conv["iterations"],
@@ -775,7 +783,7 @@ def _check_divergence(normalized: Parameters, variant: VariantConfig,
                       records: Mapping[str, TeamRecord], prior_weight: float,
                       iterations: int, grad_norm: float):
     for name in parameter_layout(variant).tables:
-        for team, value in normalized.value(name).items():
+        for team, value in getattr(normalized, name).items():
             if abs(math.log(value)) > _DIVERGENCE_LOG_LIMIT:
                 diagnosis = _diagnose(records, prior_weight)
                 raise NonConvergenceError(

@@ -27,7 +27,9 @@ This module is the one place that knows a variant's parameter layout.
 reads defensive strengths) and its structural levels: its blocks'
 structural keys, plus ``kappa`` for a single home-advantage factor.
 ``GAUGE_POWER`` says how each table and level moves when every strength is
-rescaled by the same factor. Validation, the gauge transform, the fit's
+rescaled by the same factor. ``Parameters`` has one field for each of
+those names, so a table or level is read with ``getattr`` and replaced
+with ``dataclasses.replace``. Validation, the gauge transform, the fit's
 parameter packing, PPPM, simulation and the CLI all loop over that
 description instead of branching on the variant.
 
@@ -44,7 +46,7 @@ overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -57,6 +59,7 @@ from .domain import (
     TRY_ORDER,
     PointsSystem,
     Venue,
+    json_object,
     result_points_arrays,
     try_points_arrays,
 )
@@ -100,6 +103,7 @@ class VariantConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "VariantConfig":
+        json_object(doc, "variant")
         return cls(try_model=TryModel(doc["try_model"]),
                    home_model=HomeModel(doc["home_model"]))
 
@@ -107,25 +111,11 @@ class VariantConfig:
 DEFAULT_VARIANT = VariantConfig()
 
 
-@dataclass(frozen=True)
-class VariantParameters:
-    """Extra parameters used by the non-default variants.
-
-    tau             shared bonus propensity (opposition-independent tries)
-    delta           per-team defensive strength; offence is pi / delta
-    home_strengths  per-team strength when playing at home
-    away_strengths  per-team strength when playing away
-    """
-
-    tau: float | None = None
-    delta: Mapping[str, float] | None = None
-    home_strengths: Mapping[str, float] | None = None
-    away_strengths: Mapping[str, float] | None = None
-
-
 # the structural levels every parameter set carries, whatever the variant
 _LEVELS = ("rho_n", "rho_d", "tau_b", "tau_z", "kappa")
-_OWN_FIELDS = ("strengths",) + _LEVELS
+# the tables and level only some variants carry, stored under "extras" in
+# the JSON form
+_VARIANT_FIELDS = ("tau", "delta", "home_strengths", "away_strengths")
 
 # The power of the strength scale c that each team table and structural
 # level takes when a gauge rescale multiplies every strength by c: the
@@ -145,7 +135,19 @@ def _positive(name, value):
 
 @dataclass(frozen=True)
 class Parameters:
-    """Full parameter set: per-team strengths plus structural propensities."""
+    """Full parameter set: one field per team table and structural level.
+
+    strengths       per-team strength pi
+    rho_n, rho_d    narrow-result and draw propensities
+    tau_b, tau_z    both-bonus and zero-bonus propensities
+    kappa           home-advantage factor
+    tau             shared bonus propensity (opposition-independent tries)
+    delta           per-team defensive strength; offence is pi / delta
+    home_strengths  per-team strength when playing at home
+    away_strengths  per-team strength when playing away
+
+    The last four are None unless the variant reads them.
+    """
 
     strengths: Mapping[str, float]
     rho_n: float = 1.0
@@ -153,7 +155,10 @@ class Parameters:
     tau_b: float = 1.0
     tau_z: float = 1.0
     kappa: float = 1.0
-    extras: VariantParameters | None = None
+    tau: float | None = None
+    delta: Mapping[str, float] | None = None
+    home_strengths: Mapping[str, float] | None = None
+    away_strengths: Mapping[str, float] | None = None
 
     def validate(self, variant: VariantConfig = DEFAULT_VARIANT):
         layout = parameter_layout(variant)
@@ -162,6 +167,8 @@ class Parameters:
         first = self._required(layout.tables[0], variant)
         for name in layout.tables:
             table = self._required(name, variant)
+            if not isinstance(table, Mapping):
+                raise ParameterError(f"{name} must map team names to values")
             if set(table) != set(first):
                 raise ParameterError(f"{name} must cover the same teams as "
                                      f"{layout.tables[0]}")
@@ -169,55 +176,37 @@ class Parameters:
                 _positive(f"{name} of {team}", value)
 
     def _required(self, name: str, variant: VariantConfig):
-        value = self.value(name)
+        value = getattr(self, name)
         if value is None:
             raise ParameterError(f"the {variant.try_model.value} / "
                                  f"{variant.home_model.value} variant needs "
                                  f"{name}")
         return value
 
-    def value(self, name: str):
-        """One team table or structural level by name; None when the
-        parameters do not carry it."""
-        if name in _OWN_FIELDS:
-            return getattr(self, name)
-        return None if self.extras is None else getattr(self.extras, name)
-
-    def with_values(self, values: Mapping[str, object]) -> "Parameters":
-        """A copy with the named team tables and structural levels
-        replaced; the variant extras are created when first needed."""
-        own = {name: v for name, v in values.items() if name in _OWN_FIELDS}
-        extra = {name: v for name, v in values.items()
-                 if name not in _OWN_FIELDS}
-        extras = self.extras
-        if extra:
-            extras = replace(extras or VariantParameters(), **extra)
-        return replace(self, extras=extras, **own)
-
     def to_dict(self) -> dict:
         """JSON form: strengths, structural levels and their logs, and the
-        variant extras when present."""
+        variant fields under "extras" when any is set."""
         doc: dict = {"strengths": dict(self.strengths)}
         doc.update({name: getattr(self, name) for name in _LEVELS})
         doc["log"] = {name: math.log(getattr(self, name)) for name in _LEVELS}
-        if self.extras is not None:
-            doc["extras"] = asdict(self.extras)
+        extras = {name: getattr(self, name) for name in _VARIANT_FIELDS}
+        if any(value is not None for value in extras.values()):
+            doc["extras"] = extras
         return doc
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Parameters":
         """Inverse of ``to_dict``; strengths may be absent (team-specific
         variant) and the logs are not read back."""
+        json_object(doc, "parameters")
         missing = [name for name in _LEVELS if name not in doc]
         if missing:
             raise ValueError(f"schema error, missing {', '.join(missing)}")
-        extras = None
-        if doc.get("extras") is not None:
-            extras = VariantParameters(**{
-                f.name: doc["extras"].get(f.name)
-                for f in fields(VariantParameters)})
+        extras = doc.get("extras")
+        extras = {} if extras is None else json_object(extras, "extras")
         return cls(strengths=doc.get("strengths") or {},
-                   extras=extras, **{name: doc[name] for name in _LEVELS})
+                   **{name: doc[name] for name in _LEVELS},
+                   **{name: extras.get(name) for name in _VARIANT_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -375,15 +364,15 @@ def _kernel_arguments(params: Parameters, home: Sequence[str],
     applies only where the layout has it.
     """
     layout = parameter_layout(variant)
-    log_structural = {name: math.log(params.value(name))
+    log_structural = {name: math.log(getattr(params, name))
                       for name in layout.structural}
     at_home = np.array([v is Venue.HOME_GROUND for v in venue], dtype=float)
     defence_sum = None
     if layout.defence:
-        defence = params.value(layout.defence)
+        defence = getattr(params, layout.defence)
         defence_sum = _team_logs(defence, home) + _team_logs(defence, away)
-    return (_team_logs(params.value(layout.home), home),
-            _team_logs(params.value(layout.away), away), log_structural,
+    return (_team_logs(getattr(params, layout.home), home),
+            _team_logs(getattr(params, layout.away), away), log_structural,
             log_structural.get("kappa", 0.0) * at_home, defence_sum)
 
 
@@ -532,7 +521,7 @@ def gauge_transform(params: Parameters, c: float,
     layout = parameter_layout(variant)
     moved = {}
     for name in layout.tables + layout.structural:
-        value, power = params.value(name), GAUGE_POWER[name]
+        value, power = getattr(params, name), GAUGE_POWER[name]
         if power == 0:
             continue
         if isinstance(value, Mapping):
@@ -540,7 +529,7 @@ def gauge_transform(params: Parameters, c: float,
                            for team, v in value.items()}
         else:
             moved[name] = _rescaled(value, power, c)
-    return params.with_values(moved)
+    return replace(params, **moved)
 
 
 def _strength_values(values) -> list[float]:
@@ -610,6 +599,6 @@ def normalize_parameters(params: Parameters,
     """Gauge-rescale so the generalized mean of the strengths, over every
     strength table of the variant pooled, is 1."""
     pool = [value for name in parameter_layout(variant).strength_tables
-            for value in params.value(name).values()]
+            for value in getattr(params, name).values()]
     return gauge_transform(params, solve_scale(pool), variant)
 

@@ -98,7 +98,7 @@ def pppm(source: FittedModel | Parameters, *,
     league points per fixture is the schedule-corrected rating.
     """
     params, variant, points = _model_parts(source, variant, points)
-    teams = sorted(params.value(parameter_layout(variant).home))
+    teams = sorted(getattr(params, parameter_layout(variant).home))
     if len(teams) < 2:
         raise ValueError("a rating needs at least two teams")
     m = len(teams)
@@ -132,9 +132,9 @@ def previous_rank_band(rank: int | None) -> int:
     return 0
 
 
-def merit_points(matches: Iterable[MatchRecord],
-                 previous_ranks: Mapping[str, int],
-                 points: PointsSystem = DEFAULT_POINTS) -> dict[str, float]:
+def merit_points(records: Mapping[str, TeamRecord],
+                 matches: Iterable[MatchRecord],
+                 previous_ranks: Mapping[str, int]) -> dict[str, float]:
     """Merit points: LPPM plus banded additional points per fixture.
 
     Each fixture adds 0.3, 0.2, 0.1 or 0 to the team's rating according
@@ -142,9 +142,8 @@ def merit_points(matches: Iterable[MatchRecord],
     or unranked); the additions are totals, not per-match averages. The
     arithmetic runs on integer tenths with a single division so published
     decimals are matched exactly, without accumulated float error.
+    ``records`` are the teams' playing records over the same ``matches``.
     """
-    matches = list(matches)
-    records = playing_records(matches, points)
     tenths = {team: 0 for team in records}
     for match in matches:
         tenths[match.home_team] += previous_rank_band(

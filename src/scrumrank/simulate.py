@@ -256,7 +256,7 @@ def simulate_season(params: Parameters, fixtures: Sequence[Fixture],
 
 def _structural_values(params: Parameters,
                        variant: VariantConfig) -> dict[str, float]:
-    return {name: params.value(name)
+    return {name: getattr(params, name)
             for name in parameter_layout(variant).structural}
 
 
@@ -389,7 +389,7 @@ def recovery_study(truth: Parameters, fixtures: Sequence[Fixture],
     variant = fit_config.variant
     truth = normalize_parameters(truth, variant)
     tables = parameter_layout(variant).strength_tables
-    truth_tables = [truth.value(name) for name in tables]
+    truth_tables = [getattr(truth, name) for name in tables]
     # only teams that actually play get estimates, so the recovery is
     # scored over the fixture list's team set
     teams = sorted({team for f in fixtures
@@ -414,7 +414,7 @@ def recovery_study(truth: Parameters, fixtures: Sequence[Fixture],
         estimates = _structural_values(fitted.parameters, variant)
         rhos = []
         for name, truth_order in zip(tables, truth_orders):
-            est_strengths = fitted.parameters.value(name)
+            est_strengths = getattr(fitted.parameters, name)
             est_logs = np.log([est_strengths[t] for t in teams])
             rhos.append(spearman(truth_order,
                                  _merge_ties(est_logs, tie_width)))

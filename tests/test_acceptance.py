@@ -49,7 +49,7 @@ from scrumrank.model import (
     solve_scale,
 )
 from scrumrank.estimate import log_likelihood
-from scrumrank.rank import lppm, merit_points, pppm
+from scrumrank.rank import lppm, merit_points, playing_records, pppm
 from scrumrank.simulate import double_round_robin, recovery_study
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -81,7 +81,7 @@ def test_criterion_02_merit_points_worked_example():
     matches += [MatchRecord(f"O{k}", "Hero", 13, 0, 2, 0)
                 for k in range(9, 11)]
     prev = {"O1": 10, "O2": 30, "O3": 40, "O4": 50, "O5": 55, "O6": 75}
-    value = merit_points(matches, prev)["Hero"]
+    value = merit_points(playing_records(matches), matches, prev)["Hero"]
     ok = value == 4.3
     _criterion(2, "merit points worked example is exact", ok,
                f"LPPM {lppm(matches)['Hero']} plus banded tenths gives "

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import scrumrank.rank as rank
 from scrumrank.cli import _load_parameters_file, main
 from scrumrank.ingest import load_matches
 
@@ -283,6 +284,20 @@ def test_rank_with_previous_ranks_writes_comparison(tmp_path, capsys):
     assert len(manifest["outputs"]) == 3
 
 
+def test_rank_with_previous_ranks_tallies_the_season_once(tmp_path,
+                                                          monkeypatch):
+    season, model = _fit_model(tmp_path)
+    calls = []
+    tally = rank.team_records
+    monkeypatch.setattr(rank, "team_records",
+                        lambda *args: calls.append(args) or tally(*args))
+    code = main(["rank", str(model), str(season),
+                 str(tmp_path / "table.csv"),
+                 "--prev-ranks", str(DATA / "prev_ranks.csv")])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_rank_team_mismatch_exit_five(tmp_path, capsys):
     _, model = _fit_model(tmp_path)
     other = tmp_path / "other.csv"
@@ -425,6 +440,41 @@ def test_interpret_missing_kappa_exit_two(tmp_path, capsys):
     code = main(["interpret", str(path)])
     assert code == 2
     assert "kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, source, changes, named", [
+    ("interpret", "bare", {"extras": [1]}, "extras"),
+    ("interpret", "bare", {"variant": "x"}, "variant"),
+    ("interpret", "model", {"prior": {"weight": "1", "dummy_strength": 1.0}},
+     "prior weight"),
+    ("rank", "model", {"prior": {"weight": "1", "dummy_strength": 1.0}},
+     "prior weight"),
+    ("interpret", "model", {"prior": {"weight": 1.0, "dummy_strength": 1.0,
+                                      "scale": 2.0}}, "scale"),
+    ("interpret", "model", {"parameters": 5}, "parameters"),
+    ("simulate", "bare", {"strengths": [1.0, 2.0]}, "strengths"),
+    ("interpret", "bare", {"rho_n": "x"}, "rho_n"),
+    ("interpret", "bare", {"rho_n": -1.0}, "rho_n"),
+])
+def test_malformed_parameter_files_exit_two(tmp_path, capsys, command,
+                                            source, changes, named):
+    season = _season_path(tmp_path)
+    if source == "bare":
+        path = _bare_params(tmp_path, **changes)
+    else:
+        _, path = _fit_model(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    **changes}))
+    fixtures = tmp_path / "fixtures.csv"
+    fixtures.write_text("home_team,away_team,venue\nA,B,\n")
+    argv = {"interpret": [path],
+            "rank": [path, season, tmp_path / "table.csv"],
+            "simulate": [path, fixtures, tmp_path / "report.csv"]}[command]
+    capsys.readouterr()
+    assert main([command, *map(str, argv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_interpret_rejects_other_variants(tmp_path):

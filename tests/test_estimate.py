@@ -19,6 +19,7 @@ from scrumrank.estimate import (
     FittedModel,
     NonConvergenceError,
     PriorConfig,
+    Score,
     _log_normalizer,
     _Problem,
     fit,
@@ -28,12 +29,12 @@ from scrumrank.estimate import (
 from scrumrank.ingest import load_matches
 from scrumrank.model import (
     DEFAULT_VARIANT,
+    GAUGE_POWER,
     HomeModel,
     ParameterError,
     Parameters,
     TryModel,
     VariantConfig,
-    VariantParameters,
     generalized_mean,
     outcome_distribution,
     parameter_layout,
@@ -65,18 +66,18 @@ def _random_params(rng, teams, variant):
     def draw():
         return float(np.exp(rng.normal(0, 0.6)))
 
-    extras = None
+    extras = {}
     if variant.try_model is TryModel.OPPOSITION_INDEPENDENT:
-        extras = VariantParameters(tau=draw())
+        extras = dict(tau=draw())
     elif variant.try_model is TryModel.OFFENSIVE_DEFENSIVE:
-        extras = VariantParameters(delta={t: draw() for t in teams})
+        extras = dict(delta={t: draw() for t in teams})
     if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        extras = VariantParameters(home_strengths={t: draw() for t in teams},
-                                   away_strengths={t: draw() for t in teams})
+        extras = dict(home_strengths={t: draw() for t in teams},
+                      away_strengths={t: draw() for t in teams})
     return Parameters(
         strengths={t: draw() for t in teams},
         rho_n=draw(), rho_d=draw(), tau_b=draw(), tau_z=draw(),
-        kappa=draw(), extras=extras,
+        kappa=draw(), **extras,
     )
 
 
@@ -95,36 +96,12 @@ def _random_counts(rng, teams) -> OutcomeCounts:
 def _bump(params: Parameters, variant: VariantConfig, group: str,
           key: str | None, h: float) -> Parameters:
     """Multiply one parameter by exp(h), returning a new Parameters."""
-    factor = math.exp(h)
-    if group in ("strengths",):
-        strengths = dict(params.strengths)
-        strengths[key] *= factor
-        return dataclasses.replace(params, strengths=strengths)
-    if group in ("rho_n", "rho_d", "tau_b", "tau_z", "kappa"):
-        return dataclasses.replace(params,
-                                   **{group: getattr(params, group) * factor})
-    extras = params.extras
-    if group == "tau":
-        return dataclasses.replace(
-            params, extras=dataclasses.replace(extras, tau=extras.tau * factor))
-    if group == "delta":
-        delta = dict(extras.delta)
-        delta[key] *= factor
-        return dataclasses.replace(
-            params, extras=dataclasses.replace(extras, delta=delta))
-    if group == "home_strengths":
-        values = dict(extras.home_strengths)
-        values[key] *= factor
-        return dataclasses.replace(
-            params,
-            extras=dataclasses.replace(extras, home_strengths=values))
-    if group == "away_strengths":
-        values = dict(extras.away_strengths)
-        values[key] *= factor
-        return dataclasses.replace(
-            params,
-            extras=dataclasses.replace(extras, away_strengths=values))
-    raise AssertionError(group)
+    value = getattr(params, group)
+    if key is None:
+        return dataclasses.replace(params, **{group: value * math.exp(h)})
+    table = dict(value)
+    table[key] *= math.exp(h)
+    return dataclasses.replace(params, **{group: table})
 
 
 def _gradient_entries(params: Parameters, variant: VariantConfig, teams):
@@ -301,18 +278,18 @@ def test_fit_leaves_levels_outside_the_variant_at_one(try_model, weight):
 def test_pack_and_x_to_parameters_round_trip(variant, freeze):
     teams = ["A", "B", "C"]
     params = _random_params(np.random.default_rng(53), teams, variant)
-    frozen = None if freeze is None else {freeze: params.value(freeze)}
+    frozen = None if freeze is None else {freeze: getattr(params, freeze)}
     problem = _Problem.from_counts(teams, OutcomeCounts(), variant, 0.0,
                                    DEFAULT_POINTS, freeze=frozen)
     again = problem.x_to_parameters(problem.pack(params))
     layout = parameter_layout(variant)
     for name in layout.tables:
-        assert again.value(name).keys() == params.value(name).keys()
-        for team, value in params.value(name).items():
-            assert math.isclose(again.value(name)[team], value,
+        assert getattr(again, name).keys() == getattr(params, name).keys()
+        for team, value in getattr(params, name).items():
+            assert math.isclose(getattr(again, name)[team], value,
                                 rel_tol=1e-15, abs_tol=0)
     for name in layout.structural:
-        assert math.isclose(again.value(name), params.value(name),
+        assert math.isclose(getattr(again, name), getattr(params, name),
                             rel_tol=1e-15, abs_tol=0)
 
 
@@ -336,8 +313,15 @@ def test_fit_requires_two_teams():
 def test_prior_config_validation():
     with pytest.raises(ParameterError):
         PriorConfig(weight=-0.5)
+
+
+def test_fitted_model_json_refuses_another_reference_strength():
+    counts = outcome_counts(load_matches(DATA / "golden_season.csv").records)
+    doc = json.loads(fit(counts, FitConfig(prior=PriorConfig(weight=1.0)))
+                     .to_json())
+    doc["prior"]["dummy_strength"] = 2.0
     with pytest.raises(ParameterError):
-        PriorConfig(weight=1.0, dummy_strength=2.0)
+        FittedModel.from_json(json.dumps(doc))
 
 
 def test_fitted_model_json_round_trip():
@@ -377,6 +361,32 @@ def test_variant_fits_converge_on_the_golden_season():
         s = score(model.raw_parameters, counts,
                   prior=PriorConfig(weight=1.0), variant=variant)
         assert s.max_norm() <= 1e-6
+
+
+def test_parameter_fields_are_the_layout_names():
+    names = {f.name for f in dataclasses.fields(Parameters)}
+    assert names == set(GAUGE_POWER)
+    assert names == {f.name for f in dataclasses.fields(Score)}
+    for variant in ALL_VARIANTS:
+        layout = parameter_layout(variant)
+        assert set(layout.tables + layout.structural) <= names
+
+
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+def test_fitted_parameters_survive_their_json_form(variant):
+    model = fit(_golden_counts(), FitConfig(variant=variant,
+                                            prior=PriorConfig(weight=1.0)))
+    layout = parameter_layout(variant)
+    sets_extras = bool({"tau", "delta", "home_strengths", "away_strengths"}
+                       & set(layout.tables + layout.structural))
+    for params in (model.parameters, model.raw_parameters):
+        doc = json.loads(json.dumps(params.to_dict()))
+        again = Parameters.from_dict(doc)
+        assert again == params
+        assert again.to_dict() == doc
+        assert ("extras" in doc) == sets_extras
 
 
 def test_log_normalizer_matches_scipy_logsumexp():

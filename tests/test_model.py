@@ -21,7 +21,6 @@ from scrumrank.model import (
     Parameters,
     TryModel,
     VariantConfig,
-    VariantParameters,
     expected_points,
     gauge_transform,
     generalized_mean,
@@ -47,14 +46,14 @@ def _params(strengths, **overrides) -> Parameters:
 
 def _random_params(rng, teams=("A", "B"), variant=DEFAULT_VARIANT):
     strengths = {t: float(np.exp(rng.normal(0, 0.7))) for t in teams}
-    extras = None
+    extras = {}
     if variant.try_model is TryModel.OPPOSITION_INDEPENDENT:
-        extras = VariantParameters(tau=float(np.exp(rng.normal(0, 0.5))))
+        extras = dict(tau=float(np.exp(rng.normal(0, 0.5))))
     elif variant.try_model is TryModel.OFFENSIVE_DEFENSIVE:
-        extras = VariantParameters(
+        extras = dict(
             delta={t: float(np.exp(rng.normal(0, 0.5))) for t in teams})
     if variant.home_model is HomeModel.TEAM_SPECIFIC:
-        extras = VariantParameters(
+        extras = dict(
             home_strengths={t: float(np.exp(rng.normal(0, 0.7)))
                             for t in teams},
             away_strengths={t: float(np.exp(rng.normal(0, 0.7)))
@@ -67,7 +66,7 @@ def _random_params(rng, teams=("A", "B"), variant=DEFAULT_VARIANT):
         tau_b=float(np.exp(rng.normal(0, 0.5))),
         tau_z=float(np.exp(rng.normal(0, 0.5))),
         kappa=float(np.exp(rng.normal(0, 0.3))),
-        extras=extras,
+        **extras,
     )
 
 
@@ -269,14 +268,12 @@ def test_normalize_parameters_team_specific_uses_joint_pool():
     params = Parameters(
         strengths={},
         rho_n=0.4, rho_d=0.2, tau_b=0.05, tau_z=2.0,
-        extras=VariantParameters(
-            home_strengths={"A": 3.0, "B": 0.8},
-            away_strengths={"A": 1.5, "B": 0.4},
-        ),
+        home_strengths={"A": 3.0, "B": 0.8},
+        away_strengths={"A": 1.5, "B": 0.4},
     )
     normalized = normalize_parameters(params, variant)
-    pool = list(normalized.extras.home_strengths.values()) \
-        + list(normalized.extras.away_strengths.values())
+    pool = list(normalized.home_strengths.values()) \
+        + list(normalized.away_strengths.values())
     assert abs(generalized_mean(pool) - 1.0) < 1e-10
 
 
@@ -308,8 +305,7 @@ def test_parameters_validation():
     with pytest.raises(ParameterError):
         _params({"A": 1.0, "B": 1.0}).validate(variant)
     ok = Parameters(strengths={"A": 1.0, "B": 1.0}, rho_n=0.4, rho_d=0.2,
-                    tau_b=0.05, tau_z=2.0,
-                    extras=VariantParameters(tau=0.3))
+                    tau_b=0.05, tau_z=2.0, tau=0.3)
     ok.validate(variant)
 
 
@@ -319,7 +315,7 @@ def test_opposition_independent_try_block_is_two_coin_flips():
     pi_i, pi_j, kappa = 1.5, 0.6, 1.2
     params = Parameters(strengths={"A": pi_i, "B": pi_j}, rho_n=0.4,
                         rho_d=0.2, tau_b=1.0, tau_z=1.0, kappa=kappa,
-                        extras=VariantParameters(tau=tau))
+                        tau=tau)
     probs = outcome_distribution(params, "A", "B", variant).tries
     p_home = tau * kappa * pi_i / (1 + tau * kappa * pi_i)
     p_away = (tau * pi_j / kappa) / (1 + tau * pi_j / kappa)
@@ -338,8 +334,7 @@ def test_offensive_defensive_try_block_weights():
     delta_i, delta_j = 1.2, 0.7
     params = Parameters(strengths={"A": pi_i, "B": pi_j}, rho_n=0.4,
                         rho_d=0.2, tau_b=1.0, tau_z=1.0, kappa=1.0,
-                        extras=VariantParameters(delta={"A": delta_i,
-                                                        "B": delta_j}))
+                        delta={"A": delta_i, "B": delta_j})
     probs = outcome_distribution(params, "A", "B", variant).tries
     dd = delta_i * delta_j
     weights = np.array([pi_i * pi_j / dd, pi_i, pi_j, dd])
@@ -351,10 +346,8 @@ def test_team_specific_home_model_uses_side_strengths():
     params = Parameters(
         strengths={},
         rho_n=0.4, rho_d=0.2, tau_b=0.05, tau_z=2.0, kappa=7.0,
-        extras=VariantParameters(
-            home_strengths={"A": 2.0, "B": 1.0},
-            away_strengths={"A": 0.5, "B": 1.0},
-        ),
+        home_strengths={"A": 2.0, "B": 1.0},
+        away_strengths={"A": 0.5, "B": 1.0},
     )
     dist = outcome_distribution(params, "A", "B", variant)
     # kappa is ignored: the same fixture with kappa=1 is identical
@@ -417,6 +410,11 @@ def test_parameters_and_variant_json_round_trip():
     with pytest.raises(ValueError, match="missing kappa"):
         Parameters.from_dict({"strengths": {}, "rho_n": 1.0, "rho_d": 1.0,
                               "tau_b": 1.0, "tau_z": 1.0})
+    for decode, section in ((Parameters.from_dict, "parameters"),
+                            (VariantConfig.from_dict, "variant"),
+                            (PointsSystem.from_dict, "points_system")):
+        with pytest.raises(ValueError, match=f"{section} must be a JSON "):
+            decode([1])
 
 
 def test_structural_names_come_from_the_variants_blocks():

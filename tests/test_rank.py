@@ -14,7 +14,7 @@ from scrumrank.domain import (
 )
 from scrumrank.estimate import FitConfig, PriorConfig, fit
 from scrumrank.ingest import load_matches
-from scrumrank.model import Parameters, VariantParameters, expected_points
+from scrumrank.model import Parameters, expected_points
 from scrumrank.rank import (
     RankingTable,
     RankRow,
@@ -116,25 +116,26 @@ def test_merit_points_worked_example_is_exact():
     # eight plain wins and two wide losses: 32 points in 10, LPPM 3.2;
     # one top-25, three mid-band, two lower-band opponents add 1.1
     matches, prev = _merit_season()
-    merit = merit_points(matches, prev)
+    merit = merit_points(playing_records(matches), matches, prev)
     assert lppm(matches)["Hero"] == 3.2
     assert merit["Hero"] == 4.3
 
 
 def test_merit_points_without_ranked_opponents_is_lppm():
     matches, _ = _merit_season()
-    merit = merit_points(matches, {})
+    merit = merit_points(playing_records(matches), matches, {})
     values = lppm(matches)
     assert merit == pytest.approx(values)
 
 
 def test_merit_points_ignores_zero_contribution_entries():
     matches, prev = _merit_season()
-    base = merit_points(matches, prev)
+    records = playing_records(matches)
+    base = merit_points(records, matches, prev)
     widened = dict(prev)
     widened["O7"] = 80          # played, but outside every band
     widened["Bystander"] = 5    # never played
-    assert merit_points(matches, widened) == base
+    assert merit_points(records, matches, widened) == base
 
 
 def test_pppm_two_mean_teams_reference_value():
@@ -189,12 +190,11 @@ def test_pppm_is_the_double_round_robin_mean_in_every_variant():
     def draw(scale):
         return {t: float(np.exp(rng.normal(0, scale))) for t in teams}
 
-    # one parameter set carrying every variant's extras
+    # one parameter set carrying every variant's tables and levels
     params = Parameters(
         strengths=draw(0.6), kappa=1.113, **REFERENCE_MEANS,
-        extras=VariantParameters(tau=0.3, delta=draw(0.5),
-                                 home_strengths=draw(0.6),
-                                 away_strengths=draw(0.6)))
+        tau=0.3, delta=draw(0.5), home_strengths=draw(0.6),
+        away_strengths=draw(0.6))
     for name, variant in VARIANTS.items():
         ratings = pppm(params, variant=variant)
         for team in teams:

@@ -19,7 +19,7 @@ from scrumrank.domain import (
 )
 from scrumrank.estimate import FitConfig, PriorConfig
 import scrumrank.simulate as simulate
-from scrumrank.model import Parameters, VariantParameters, outcome_distribution
+from scrumrank.model import Parameters, outcome_distribution
 from scrumrank.simulate import (
     Fixture,
     ReplicateResult,
@@ -221,12 +221,11 @@ def test_simulate_season_equals_per_fixture_sample_match_draws():
     def draw(scale):
         return {t: float(np.exp(rng.normal(0, scale))) for t in teams}
 
-    # one parameter set carrying every variant's extras
+    # one parameter set carrying every variant's tables and levels
     params = Parameters(
         strengths=draw(0.7), kappa=1.113, **REFERENCE_MEANS,
-        extras=VariantParameters(tau=0.3, delta=draw(0.5),
-                                 home_strengths=draw(0.7),
-                                 away_strengths=draw(0.7)))
+        tau=0.3, delta=draw(0.5), home_strengths=draw(0.7),
+        away_strengths=draw(0.7))
     fixtures = [Fixture(f.home_team, f.away_team,
                         Venue.NEUTRAL if k % 3 == 0 else Venue.HOME_GROUND)
                 for k, f in enumerate(double_round_robin(teams) * 3)]
@@ -360,9 +359,8 @@ def test_recovery_scores_every_strength_table(monkeypatch):
 
     def team_specific(away):
         return Parameters(strengths=home, kappa=1.0, **REFERENCE_MEANS,
-                          extras=VariantParameters(
-                              home_strengths=home,
-                              away_strengths=dict(zip(teams, away))))
+                          home_strengths=home,
+                          away_strengths=dict(zip(teams, away)))
 
     truth = team_specific([0.6, 0.9, 1.1, 1.7])
 
