@@ -11,6 +11,7 @@ for parameter-recovery studies.
 
 from .domain import (
     DEFAULT_POINTS,
+    MatchColumns,
     MatchRecord,
     OutcomeCounts,
     PointsSystem,
@@ -42,6 +43,7 @@ from .ingest import (
     CleaningAction,
     CsvParseError,
     FieldChange,
+    MatchTable,
     RawMatchRow,
     RejectedRow,
     clean,

@@ -84,13 +84,8 @@ def _write_text(path: str, text: str):
 def _load_points(path: str | None) -> PointsSystem:
     if path is None:
         return DEFAULT_POINTS
-    doc = json_object(json.loads(_read_text(path)), "points-system file")
-    allowed = list(DEFAULT_POINTS.to_dict())
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ValueError(f"points-system file: unknown keys "
-                         f"{sorted(unknown)}; allowed {allowed}")
-    return PointsSystem.from_dict(doc)
+    return PointsSystem.from_dict(
+        json_object(json.loads(_read_text(path)), "points-system file"))
 
 
 def _load_parameters_file(path: str):
@@ -236,12 +231,13 @@ def _sibling(path: str, suffix: str, extension: str | None = None) -> str:
 
 def _cmd_rank(args, argv) -> int:
     model = FittedModel.from_json(_read_text(args.model))
+    model.parameters.validate(model.variant)
     points = (_load_points(args.points_system) if args.points_system
               else model.points_system)
     result = _load_clean_result(args.results)
     if _report_rejections(result):
         return 3
-    matches = list(result.records)
+    matches = result.records
     records = playing_records(matches, points)
     ratings = pppm(model, points=points)
     table = build_table(ratings, records, method="PPPM",

@@ -6,19 +6,21 @@ and a four-way try outcome (which sides reached the try-bonus threshold).
 League points are a function of that pair alone, so a season collapses to
 outcome counts per ordered (home, away, venue) triple plus a handful of
 totals, and those totals are exactly what the likelihood in
-:mod:`scrumrank.estimate` consumes. ``OutcomeCounts`` holds that table as
-sorted per-pair arrays, built by ``OutcomeCounts.tabulate`` alone, and
-``team_records`` is the one per-team tally over it.
+:mod:`scrumrank.estimate` consumes. ``MatchColumns`` holds a list of
+fixtures as columns, which ``outcome_counts`` classifies in one array pass.
+``OutcomeCounts`` holds the table as sorted per-pair arrays, built by
+``OutcomeCounts.tabulate`` alone, and ``team_records`` is the one per-team
+tally over it.
 
 Everything here is a pure function of immutable values; no I/O.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -115,8 +117,14 @@ class PointsSystem:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "PointsSystem":
-        """Inverse of ``to_dict``; absent keys keep their defaults."""
-        return cls(**json_object(doc, "points_system"))
+        """Inverse of ``to_dict``; absent keys keep their defaults, and an
+        unknown key is a ValueError that names it."""
+        allowed = [f.name for f in fields(cls)]
+        unknown = set(json_object(doc, "points_system")) - set(allowed)
+        if unknown:
+            raise ValueError(f"points_system: unknown keys {sorted(unknown)}; "
+                             f"allowed {allowed}")
+        return cls(**doc)
 
 
 DEFAULT_POINTS = PointsSystem()
@@ -167,6 +175,69 @@ class MatchRecord:
                     f"away score {self.away_score} cannot support "
                     f"{self.away_tries} tries"
                 )
+
+
+@dataclass(frozen=True, eq=False)
+class MatchColumns(abc.Sequence):
+    """Completed fixtures held as columns; each item reads as a MatchRecord.
+
+    ``home_team`` and ``away_team`` hold the sides' names, the four counts
+    are int64 arrays, ``home_ground`` is False at a neutral ground, and
+    ``override`` holds a declared result's RESULT_ORDER cell, or -1 where
+    the score decides the result. ``of`` converts match records; the
+    cleaner builds its columns directly, already checked as a MatchRecord
+    checks its fields.
+    """
+
+    home_team: np.ndarray
+    away_team: np.ndarray
+    home_score: np.ndarray
+    away_score: np.ndarray
+    home_tries: np.ndarray
+    away_tries: np.ndarray
+    home_ground: np.ndarray
+    override: np.ndarray
+
+    @classmethod
+    def of(cls, matches: Iterable[MatchRecord]) -> "MatchColumns":
+        """``matches`` as columns; columns pass through unchanged."""
+        if isinstance(matches, MatchColumns):
+            return matches
+        matches = list(matches)
+        return cls(
+            *(np.array([getattr(match, name) for match in matches],
+                       dtype=object) for name in ("home_team", "away_team")),
+            *(np.array([getattr(match, name) for match in matches],
+                       dtype=np.int64) for name in _COUNT_FIELDS),
+            np.array([match.venue is Venue.HOME_GROUND for match in matches],
+                     dtype=bool),
+            np.array([-1 if match.result_override is None
+                      else RESULT_INDEX[match.result_override]
+                      for match in matches], dtype=np.intp))
+
+    def __len__(self) -> int:
+        return len(self.home_team)
+
+    def __getitem__(self, k: int) -> MatchRecord:
+        return self._record(self.home_team[k], self.away_team[k],
+                            *(int(getattr(self, name)[k])
+                              for name in _COUNT_FIELDS),
+                            bool(self.home_ground[k]), int(self.override[k]))
+
+    def __iter__(self) -> Iterator[MatchRecord]:
+        columns = [getattr(self, f.name).tolist() for f in fields(self)]
+        return (self._record(*cells) for cells in zip(*columns))
+
+    @staticmethod
+    def _record(home, away, home_score, away_score, home_tries, away_tries,
+                on_ground, override) -> MatchRecord:
+        return MatchRecord(
+            home, away, home_score, away_score, home_tries, away_tries,
+            Venue.HOME_GROUND if on_ground else Venue.NEUTRAL,
+            None if override < 0 else RESULT_ORDER[override])
+
+
+_COUNT_FIELDS = ("home_score", "away_score", "home_tries", "away_tries")
 
 
 def classify_result(home_score: int, away_score: int,
@@ -310,15 +381,7 @@ class OutcomeCounts:
     @property
     def pairs(self) -> Mapping[PairKey, PairCounts]:
         """Read-only ``{(home, away, venue): PairCounts}`` over the rows."""
-        result, tries = self.result.view(), self.tries.view()
-        result.flags.writeable = tries.flags.writeable = False
-        return MappingProxyType({
-            (self.teams[h], self.teams[a],
-             Venue.HOME_GROUND if on_ground else Venue.NEUTRAL):
-                PairCounts(r, t)
-            for h, a, on_ground, r, t in zip(
-                self.home.tolist(), self.away.tolist(),
-                self.home_ground.tolist(), result, tries)})
+        return _PairView(self)
 
     def total_matches(self) -> int:
         return int(self.result.sum())
@@ -342,18 +405,60 @@ class OutcomeCounts:
             f"pair {home!r} vs {away!r}: more try outcomes than matches")
 
 
+class _PairView(abc.Mapping):
+    """``OutcomeCounts.pairs``: its length is the row count, and its
+    lookups are built on first use, over read-only views of the rows."""
+
+    def __init__(self, counts: OutcomeCounts):
+        self._counts = counts
+        self._pairs: dict[PairKey, PairCounts] | None = None
+
+    def __len__(self) -> int:
+        return len(self._counts.home)
+
+    def _lookup(self) -> dict[PairKey, PairCounts]:
+        if self._pairs is None:
+            c = self._counts
+            result, tries = c.result.view(), c.tries.view()
+            result.flags.writeable = tries.flags.writeable = False
+            self._pairs = {
+                (c.teams[h], c.teams[a],
+                 Venue.HOME_GROUND if on_ground else Venue.NEUTRAL):
+                    PairCounts(r, t)
+                for h, a, on_ground, r, t in zip(
+                    c.home.tolist(), c.away.tolist(),
+                    c.home_ground.tolist(), result, tries)}
+        return self._pairs
+
+    def __getitem__(self, key: PairKey) -> PairCounts:
+        return self._lookup()[key]
+
+    def __iter__(self) -> Iterator[PairKey]:
+        return iter(self._lookup())
+
+
 def outcome_counts(matches: Iterable[MatchRecord],
                    points: PointsSystem = DEFAULT_POINTS) -> OutcomeCounts:
-    """Tally classified outcomes for a collection of match records."""
-    matches = list(matches)
-    cells = [classify_match(match, points) for match in matches]
+    """Tally classified outcomes for match records or ``MatchColumns``.
+
+    One array pass classifies every match as ``classify_match`` does:
+    a declared result takes its override cell and stays out of the try
+    counts.
+    """
+    m = MatchColumns.of(matches)
+    # RESULT_ORDER and TRY_ORDER cells, as indices
+    margin = m.home_score - m.away_score
+    narrow = np.abs(margin) <= points.losing_bonus_margin
+    result = np.where(margin > 0, np.where(narrow, 1, 0),
+                      np.where(margin < 0, np.where(narrow, 3, 4), 2))
+    home_bonus = m.home_tries >= points.try_bonus_threshold
+    away_bonus = m.away_tries >= points.try_bonus_threshold
+    tries = np.where(home_bonus, np.where(away_bonus, 0, 1),
+                     np.where(away_bonus, 2, 3))
+    declared = m.override >= 0
     return OutcomeCounts.tabulate(
-        [match.home_team for match in matches],
-        [match.away_team for match in matches],
-        [match.venue is Venue.HOME_GROUND for match in matches],
-        [RESULT_INDEX[result] for result, _ in cells],
-        [-1 if match.result_override is not None else TRY_INDEX[tries]
-         for match, (_, tries) in zip(matches, cells)])
+        m.home_team, m.away_team, m.home_ground,
+        np.where(declared, m.override, result), np.where(declared, -1, tries))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Results entered by hand carry recurring defects: try counts that exceed
 what the score allows, placeholder venues, declared winners on 0-0
 scorelines for unplayed fixtures, blank try cells, and scores typed the
-wrong way round. Five repair rules run in a fixed order per row:
+wrong way round. Five repair rules run in a fixed order on every row:
 
   R1  a side's score is too small for its tries: swap the try counts if
       that fixes both sides, otherwise cut the offending side's tries to
@@ -17,25 +17,31 @@ wrong way round. Five repair rules run in a fixed order per row:
       counts, and becomes consistent when the score is reversed means the
       score was entered backwards: reverse it.
 
-Every mutation is recorded as one audit action per (row, rule) with
-before/after snapshots per field, so the audit log can be replayed on the
-raw rows to reproduce the cleaned output. Rows still inconsistent after
-the rules are rejected with a reason, never silently dropped and never
-fatal to the rest of the file.
+A file is parsed once into a ``MatchTable`` of columns, and each rule is
+one array pass over them: a boolean mask of the rows it changes, applied
+before the next rule reads the columns. Every change is recorded as one
+audit action per (row, rule) with before/after values per field, so the
+audit log can be replayed on the raw rows to reproduce the cleaned
+output. Rows still inconsistent after the rules are rejected with a
+reason, never silently dropped and never fatal to the rest of the file.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Iterable, Sequence
+import itertools
+from collections import abc
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .domain import (
-    MatchRecord,
+    RESULT_INDEX,
+    MatchColumns,
     ResultOutcome,
     TRY_SCORE_VALUE,
-    Venue,
 )
 
 EXPECTED_HEADER = (
@@ -47,6 +53,9 @@ AUDIT_HEADER = ("row", "rule", "field", "before", "after", "description")
 
 _DECLARED_TOKENS = ("Won", "Draw", "Loss")
 _INT_FIELDS = ("home_score", "away_score", "home_tries", "away_tries")
+_FIELDS = EXPECTED_HEADER + (OVERRIDE_COLUMN,)  # RawMatchRow's, in order
+_INT_MAX = np.iinfo(np.int64).max
+_BLOCK_ROWS = 512
 
 
 class CsvParseError(ValueError):
@@ -102,33 +111,103 @@ class RejectedRow:
     reason: str
 
 
+@dataclass(frozen=True, eq=False)
+class MatchTable(abc.Sequence):
+    """Results rows held as columns; each item reads as a RawMatchRow.
+
+    ``columns`` maps every RawMatchRow field to an array. Text fields hold
+    the stripped cells; integer fields hold int64 values that read 0 where
+    the cell was blank, and ``blank`` maps each integer field to its mask
+    of blank cells.
+    """
+
+    columns: Mapping[str, np.ndarray]
+    blank: Mapping[str, np.ndarray]
+
+    @classmethod
+    def of(cls, rows: Iterable[RawMatchRow]) -> "MatchTable":
+        """``rows`` as columns; a table passes through unchanged."""
+        if isinstance(rows, MatchTable):
+            return rows
+        columns: dict[str, np.ndarray] = {}
+        blank: dict[str, np.ndarray] = {}
+        rows = list(rows)
+        for name in _FIELDS:
+            cells = [getattr(row, name) for row in rows]
+            if name in _INT_FIELDS:
+                blank[name] = np.array([v is None for v in cells], dtype=bool)
+                cells = [0 if v is None else v for v in cells]
+                columns[name] = np.array(cells, dtype=np.int64)
+            else:
+                columns[name] = np.array(cells, dtype=object)
+        return cls(columns, blank)
+
+    def __len__(self) -> int:
+        return len(self.columns["date"])
+
+    def __getitem__(self, k: int) -> RawMatchRow:
+        return RawMatchRow(*(
+            self.columns[name][k] if name not in self.blank
+            else None if self.blank[name][k] else int(self.columns[name][k])
+            for name in _FIELDS))
+
+    def __iter__(self) -> Iterator[RawMatchRow]:
+        columns = [[None if b else v for v, b in zip(
+                       self.columns[name].tolist(), self.blank[name].tolist())]
+                   if name in self.blank else self.columns[name].tolist()
+                   for name in _FIELDS]
+        return (RawMatchRow(*cells) for cells in zip(*columns))
+
+    def take(self, index: np.ndarray) -> "MatchTable":
+        """The rows at ``index``, in its order."""
+        return MatchTable(
+            {name: column[index] for name, column in self.columns.items()},
+            {name: mask[index] for name, mask in self.blank.items()})
+
+
 @dataclass(frozen=True)
 class CleanResult:
-    records: tuple[MatchRecord, ...]
+    records: MatchColumns  # the kept rows as fixtures
     actions: tuple[CleaningAction, ...]
     rejected: tuple[RejectedRow, ...]
-    rows: tuple[RawMatchRow, ...]  # cleaned rows behind `records`
+    rows: MatchTable  # cleaned rows behind `records`
 
 
-def _parse_int_cell(text: str, row: int, column: str) -> int | None:
-    text = text.strip()
-    if text == "":
-        return None
+def _int_column(cells: list[str], column: str) -> np.ndarray:
+    """One integer column's values, 0 where blank. A cell that ``int``
+    rejects, or a negative or out-of-range value, raises a CsvParseError
+    naming the first such cell."""
     try:
-        value = int(text)
-    except ValueError:
-        raise CsvParseError(f"expected an integer, got {text!r}",
-                            row=row, column=column) from None
-    if value < 0:
-        raise CsvParseError(f"negative value {value}", row=row, column=column)
-    return value
+        values = np.array([int(text) if text else 0 for text in cells],
+                          dtype=np.int64)
+        if not (values < 0).any():
+            return values
+    except (ValueError, OverflowError):
+        pass
+    # some cell is bad: find the first
+    for row, text in enumerate(cells, start=1):
+        if not text:
+            continue
+        try:
+            value = int(text)
+        except ValueError:
+            raise CsvParseError(f"expected an integer, got {text!r}",
+                                row=row, column=column) from None
+        if not 0 <= value <= _INT_MAX:
+            raise CsvParseError(
+                f"negative value {value}" if value < 0
+                else f"value {value} is out of range", row=row, column=column)
+    raise AssertionError(f"no bad cell in column {column!r}")
 
 
-def parse_csv(text: str) -> list[RawMatchRow]:
-    """Parse results CSV text into raw rows.
+def parse_csv(text: str) -> MatchTable:
+    """Parse results CSV text into a table of raw rows.
 
     The header must match the expected schema exactly; a trailing
-    outcome_override column (present in cleaned output) is accepted.
+    outcome_override column (present in cleaned output) is accepted. A
+    malformed file raises a CsvParseError for the first bad row; within
+    it, a wrong cell count comes first, then the integer columns in
+    header order, then the override.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -136,9 +215,8 @@ def parse_csv(text: str) -> list[RawMatchRow]:
     except StopIteration:
         raise CsvParseError("empty input: no header row") from None
     header = tuple(cell.strip() for cell in header)
-    if header not in (EXPECTED_HEADER, EXPECTED_HEADER + (OVERRIDE_COLUMN,)):
-        unknown = [name for name in header if name not in
-                   EXPECTED_HEADER + (OVERRIDE_COLUMN,)]
+    if header not in (EXPECTED_HEADER, _FIELDS):
+        unknown = [name for name in header if name not in _FIELDS]
         if unknown:
             raise CsvParseError(f"unknown columns {unknown}; expected "
                                 f"{','.join(EXPECTED_HEADER)}")
@@ -146,211 +224,193 @@ def parse_csv(text: str) -> list[RawMatchRow]:
             f"bad header {','.join(header)!r}; expected "
             f"{','.join(EXPECTED_HEADER)} with optional trailing "
             f"{OVERRIDE_COLUMN}")
-    has_override = len(header) == len(EXPECTED_HEADER) + 1
-    rows: list[RawMatchRow] = []
-    for index, cells in enumerate(reader, start=1):
-        if len(cells) != len(header):
-            raise CsvParseError(
-                f"expected {len(header)} cells, found {len(cells)}",
-                row=index)
-        cells = [cell.strip() for cell in cells]
-        row = RawMatchRow(
-            date=cells[0],
-            home_team=cells[1],
-            away_team=cells[2],
-            home_score=_parse_int_cell(cells[3], index, "home_score"),
-            away_score=_parse_int_cell(cells[4], index, "away_score"),
-            home_tries=_parse_int_cell(cells[5], index, "home_tries"),
-            away_tries=_parse_int_cell(cells[6], index, "away_tries"),
-            venue=cells[7],
-            declared_result=cells[8],
-            outcome_override=cells[9] if has_override else "",
-        )
-        if row.outcome_override not in ("", "home", "away"):
-            raise CsvParseError(
-                f"unrecognized override {row.outcome_override!r}",
-                row=index, column=OVERRIDE_COLUMN)
-        rows.append(row)
-    return rows
+    errors = []
+    cells: dict[str, list[str]] = {name: [] for name in header}
+    rows = 0
+    # a block of rows at a time, so that the reader's row lists die young
+    while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+        widths = list(map(len, block))
+        if widths.count(len(header)) < len(block):
+            short = next(k for k, width in enumerate(widths)
+                         if width != len(header))
+            errors.append(CsvParseError(
+                f"expected {len(header)} cells, found {widths[short]}",
+                row=rows + short + 1))
+            block = block[:short]
+        for column, block_cells in zip(cells.values(), zip(*block)):
+            column.extend(map(str.strip, block_cells))
+        rows += len(block)
+        if errors:
+            break
+    cells.setdefault(OVERRIDE_COLUMN, [""] * rows)
+    columns, blank = {}, {}
+    for name in _FIELDS:
+        column = cells[name]
+        if name in _INT_FIELDS:
+            try:
+                columns[name] = _int_column(column, name)
+            except CsvParseError as error:
+                errors.append(error)
+            blank[name] = np.array(column, dtype=object) == ""
+        else:
+            columns[name] = np.array(column, dtype=object)
+    bad = next((k for k, token in enumerate(cells[OVERRIDE_COLUMN])
+                if token and token not in _OVERRIDE_CELLS), None)
+    if bad is not None:
+        errors.append(CsvParseError(
+            f"unrecognized override {cells[OVERRIDE_COLUMN][bad]!r}",
+            row=bad + 1, column=OVERRIDE_COLUMN))
+    if errors:
+        # min keeps the first of equal rows, so the check order breaks ties
+        raise min(errors, key=lambda error: error.row)
+    return MatchTable(columns, blank)
 
 
-def _cell_text(value) -> str:
-    return "" if value is None else str(value)
+def _too_few_points(score: np.ndarray, tries: np.ndarray) -> np.ndarray:
+    """Where a side's score is smaller than its tries allow; the floor
+    division keeps the test free of overflow."""
+    return score // TRY_SCORE_VALUE < tries
 
 
-def _snapshot(row: RawMatchRow, names: Sequence[str]) -> dict[str, str]:
-    return {name: _cell_text(getattr(row, name)) for name in names}
+def _declared_code(declared: np.ndarray) -> np.ndarray:
+    """A declared result as the sign of the home margin it claims; blank
+    and unrecognized tokens read 2, which no margin has."""
+    code = np.full(len(declared), 2)
+    for token, sign in zip(_DECLARED_TOKENS, (1, 0, -1)):
+        code[declared == token] = sign
+    return code
 
 
-def _changes(row: RawMatchRow, before: dict[str, str]) -> tuple[FieldChange,
-                                                                ...]:
-    out = []
-    for name, old in before.items():
-        new = _cell_text(getattr(row, name))
-        if new != old:
-            out.append(FieldChange(name, old, new))
-    return tuple(out)
+def _sides(home: bool, away: bool) -> str:
+    return " and ".join(side for side, on in (("home", home), ("away", away))
+                        if on)
 
 
-def _max_tries(score: int) -> int:
-    return score // TRY_SCORE_VALUE
+# Each rule reads the columns as the rules before it left them, replaces
+# (never writes into) the arrays it changes, and returns the rows it acted
+# on with one description each.
+_Rule = Callable[[dict, dict], tuple[np.ndarray, list[str]]]
 
 
-def _side_inconsistent(score: int | None, tries: int | None) -> bool:
-    return (score is not None and tries is not None
-            and score < TRY_SCORE_VALUE * tries)
+def _rule_r1(c: dict, blank: dict) -> tuple[np.ndarray, list[str]]:
+    hs, as_, ht, at = (c[name] for name in _INT_FIELDS)
+    present = [~blank[name] for name in _INT_FIELDS]
+    home_bad = present[0] & present[2] & _too_few_points(hs, ht)
+    away_bad = present[1] & present[3] & _too_few_points(as_, at)
+    swap = ((home_bad | away_bad) & np.logical_and.reduce(present)
+            & ~_too_few_points(hs, at) & ~_too_few_points(as_, ht))
+    c["home_tries"] = np.where(swap, at, np.where(
+        home_bad, hs // TRY_SCORE_VALUE, ht))
+    c["away_tries"] = np.where(swap, ht, np.where(
+        away_bad, as_ // TRY_SCORE_VALUE, at))
+    acted = np.flatnonzero(home_bad | away_bad)
+    return acted, [
+        "try counts exceed what the scores allow; swapping them fixes both "
+        "sides" if swapped else f"{_sides(home, away)} try count exceeds "
+        "what the score allows; reduced to the maximum the score supports"
+        for swapped, home, away in zip(swap[acted].tolist(),
+                                       home_bad[acted].tolist(),
+                                       away_bad[acted].tolist())]
 
 
-def _declared_for(home_score: int, away_score: int) -> str:
-    if home_score > away_score:
-        return "Won"
-    if home_score < away_score:
-        return "Loss"
-    return "Draw"
+def _rule_r2(c: dict, blank: dict) -> tuple[np.ndarray, list[str]]:
+    acted = np.flatnonzero(c["venue"] == "tbc")
+    c["venue"] = c["venue"].copy()
+    c["venue"][acted] = "Neutral"
+    return acted, ["venue to be confirmed; treated as neutral"] * len(acted)
 
 
-def _apply_r1(row: RawMatchRow, index: int) -> CleaningAction | None:
-    home_bad = _side_inconsistent(row.home_score, row.home_tries)
-    away_bad = _side_inconsistent(row.away_score, row.away_tries)
-    if not (home_bad or away_bad):
-        return None
-    before = _snapshot(row, ("home_tries", "away_tries"))
-    can_swap = None not in (row.home_score, row.away_score,
-                            row.home_tries, row.away_tries)
-    if can_swap:
-        swapped_home, swapped_away = row.away_tries, row.home_tries
-        if not (_side_inconsistent(row.home_score, swapped_home)
-                or _side_inconsistent(row.away_score, swapped_away)):
-            row.home_tries, row.away_tries = swapped_home, swapped_away
-            return CleaningAction(
-                index, "R1",
-                "try counts exceed what the scores allow; swapping them "
-                "fixes both sides", _changes(row, before))
-    parts = []
-    if home_bad:
-        row.home_tries = _max_tries(row.home_score)
-        parts.append("home")
-    if away_bad:
-        row.away_tries = _max_tries(row.away_score)
-        parts.append("away")
-    return CleaningAction(
-        index, "R1",
-        f"{' and '.join(parts)} try count exceeds what the score allows; "
-        "reduced to the maximum the score supports", _changes(row, before))
+def _rule_r3(c: dict, blank: dict) -> tuple[np.ndarray, list[str]]:
+    declared = c["declared_result"]
+    zero = np.logical_and.reduce([~blank[name] & (c[name] == 0)
+                                  for name in _INT_FIELDS])
+    acted = np.flatnonzero((c[OVERRIDE_COLUMN] == "") & zero
+                           & ((declared == "Won") | (declared == "Loss")))
+    tokens = declared[acted].tolist()
+    winners = ["home" if token == "Won" else "away" for token in tokens]
+    c[OVERRIDE_COLUMN] = c[OVERRIDE_COLUMN].copy()
+    c[OVERRIDE_COLUMN][acted] = winners
+    return acted, [f"declared {token!r} with an all-zero scoreline: awarded "
+                   f"as a narrow {winner} win, no try bonuses"
+                   for token, winner in zip(tokens, winners)]
 
 
-def _apply_r2(row: RawMatchRow, index: int) -> CleaningAction | None:
-    if row.venue != "tbc":
-        return None
-    before = _snapshot(row, ("venue",))
-    row.venue = "Neutral"
-    return CleaningAction(index, "R2", "venue to be confirmed; treated as "
-                          "neutral", _changes(row, before))
+def _rule_r4(c: dict, blank: dict) -> tuple[np.ndarray, list[str]]:
+    filled = {}
+    for side in ("home", "away"):
+        score, tries = f"{side}_score", f"{side}_tries"
+        filled[side] = blank[tries] & ~blank[score]
+        c[tries] = np.where(filled[side], c[score] // TRY_SCORE_VALUE,
+                            c[tries])
+        blank[tries] = blank[tries] & ~filled[side]
+    acted = np.flatnonzero(filled["home"] | filled["away"])
+    return acted, [f"blank {_sides(home, away)} try count filled with the "
+                   "maximum the score supports"
+                   for home, away in zip(filled["home"][acted].tolist(),
+                                         filled["away"][acted].tolist())]
 
 
-def _apply_r3(row: RawMatchRow, index: int) -> CleaningAction | None:
-    if row.outcome_override:
-        return None
-    if row.declared_result not in ("Won", "Loss"):
-        return None
-    if not (row.home_score == 0 and row.away_score == 0
-            and row.home_tries == 0 and row.away_tries == 0):
-        return None
-    before = _snapshot(row, (OVERRIDE_COLUMN,))
-    winner = "home" if row.declared_result == "Won" else "away"
-    row.outcome_override = winner
-    return CleaningAction(
-        index, "R3",
-        f"declared {row.declared_result!r} with an all-zero scoreline: "
-        f"awarded as a narrow {winner} win, no try bonuses",
-        _changes(row, before))
+def _rule_r5(c: dict, blank: dict) -> tuple[np.ndarray, list[str]]:
+    hs, as_, ht, at = (c[name] for name in _INT_FIELDS)
+    code = _declared_code(c["declared_result"])
+    reverse = ((c[OVERRIDE_COLUMN] == "")
+               & ~np.logical_or.reduce([blank[name] for name in _INT_FIELDS])
+               & (code != np.sign(hs - as_)) & (code == np.sign(ht - at))
+               & (code == np.sign(as_ - hs))
+               & ~_too_few_points(as_, ht) & ~_too_few_points(hs, at))
+    c["home_score"] = np.where(reverse, as_, hs)
+    c["away_score"] = np.where(reverse, hs, as_)
+    acted = np.flatnonzero(reverse)
+    return acted, ["declared result contradicts the score but matches the "
+                   "try counts; score was entered backwards and has been "
+                   "reversed"] * len(acted)
 
 
-def _apply_r4(row: RawMatchRow, index: int) -> CleaningAction | None:
-    before = _snapshot(row, ("home_tries", "away_tries"))
-    filled = []
-    if row.home_tries is None and row.home_score is not None:
-        row.home_tries = _max_tries(row.home_score)
-        filled.append("home")
-    if row.away_tries is None and row.away_score is not None:
-        row.away_tries = _max_tries(row.away_score)
-        filled.append("away")
-    if not filled:
-        return None
-    return CleaningAction(
-        index, "R4",
-        f"blank {' and '.join(filled)} try count filled with the maximum "
-        "the score supports", _changes(row, before))
+_RULES: tuple[tuple[str, tuple[str, ...], _Rule], ...] = (
+    ("R1", ("home_tries", "away_tries"), _rule_r1),
+    ("R2", ("venue",), _rule_r2),
+    ("R3", (OVERRIDE_COLUMN,), _rule_r3),
+    ("R4", ("home_tries", "away_tries"), _rule_r4),
+    ("R5", ("home_score", "away_score"), _rule_r5),
+)
+
+_OVERRIDE_CELLS = {"home": RESULT_INDEX[ResultOutcome.HOME_NARROW],
+                   "away": RESULT_INDEX[ResultOutcome.AWAY_NARROW]}
 
 
-def _apply_r5(row: RawMatchRow, index: int) -> CleaningAction | None:
-    if row.outcome_override or row.declared_result == "":
-        return None
-    if None in (row.home_score, row.away_score, row.home_tries,
-                row.away_tries):
-        return None
-    if row.declared_result == _declared_for(row.home_score, row.away_score):
-        return None
-    if row.declared_result != _declared_for(row.home_tries, row.away_tries):
-        return None
-    reversed_home, reversed_away = row.away_score, row.home_score
-    if row.declared_result != _declared_for(reversed_home, reversed_away):
-        return None
-    if (_side_inconsistent(reversed_home, row.home_tries)
-            or _side_inconsistent(reversed_away, row.away_tries)):
-        return None
-    before = _snapshot(row, ("home_score", "away_score"))
-    row.home_score, row.away_score = reversed_home, reversed_away
-    return CleaningAction(
-        index, "R5",
-        "declared result contradicts the score but matches the try counts; "
-        "score was entered backwards and has been reversed",
-        _changes(row, before))
+def _rejections(c: dict, blank: dict) -> list[tuple[np.ndarray, Callable]]:
+    """Why cleaned rows are still unusable: (mask, reason for row k) per
+    check, in the order a row's first failing check names it."""
+    hs, as_, ht, at = (c[name] for name in _INT_FIELDS)
+    home, away = c["home_team"], c["away_team"]
+    venue, declared = c["venue"], c["declared_result"]
+    code = _declared_code(declared)
+    scored = c[OVERRIDE_COLUMN] == ""
+    return [
+        ((home == "") | (away == ""), lambda k: "blank team name"),
+        (home == away, lambda k: "a team cannot play itself"),
+        ((venue != "Home") & (venue != "Neutral"),
+         lambda k: f"unrecognized venue {venue[k]!r}"),
+        ((code == 2) & (declared != ""),
+         lambda k: f"unrecognized declared result {declared[k]!r}; expected "
+                   f"one of {', '.join(_DECLARED_TOKENS)} or blank"),
+        *((blank[name], lambda k, name=name: f"missing {name}")
+          for name in _INT_FIELDS),
+        (scored & (_too_few_points(hs, ht) | _too_few_points(as_, at)),
+         lambda k: "score too small for the try count"),
+        (scored & (declared != "") & (code != np.sign(hs - as_)),
+         lambda k: f"declared result {declared[k]!r} contradicts the "
+                   f"{hs[k]}-{as_[k]} score"),
+    ]
 
 
-_RULES = (_apply_r1, _apply_r2, _apply_r3, _apply_r4, _apply_r5)
-
-_VENUES = {"Home": Venue.HOME_GROUND, "Neutral": Venue.NEUTRAL}
-_OVERRIDES = {"home": ResultOutcome.HOME_NARROW,
-              "away": ResultOutcome.AWAY_NARROW}
-
-
-def _validate_row(row: RawMatchRow) -> str | None:
-    """Reason the cleaned row is still unusable, or None if it is fine."""
-    if not row.home_team or not row.away_team:
-        return "blank team name"
-    if row.home_team == row.away_team:
-        return "a team cannot play itself"
-    if row.venue not in _VENUES:
-        return f"unrecognized venue {row.venue!r}"
-    if row.declared_result not in ("",) + _DECLARED_TOKENS:
-        return (f"unrecognized declared result {row.declared_result!r}; "
-                f"expected one of {', '.join(_DECLARED_TOKENS)} or blank")
-    for name in _INT_FIELDS:
-        if getattr(row, name) is None:
-            return f"missing {name}"
-    if not row.outcome_override:
-        if (_side_inconsistent(row.home_score, row.home_tries)
-                or _side_inconsistent(row.away_score, row.away_tries)):
-            return "score too small for the try count"
-        if row.declared_result and row.declared_result != _declared_for(
-                row.home_score, row.away_score):
-            return (f"declared result {row.declared_result!r} contradicts "
-                    f"the {row.home_score}-{row.away_score} score")
-    return None
-
-
-def _to_record(row: RawMatchRow) -> MatchRecord:
-    return MatchRecord(
-        home_team=row.home_team,
-        away_team=row.away_team,
-        home_score=row.home_score,
-        away_score=row.away_score,
-        home_tries=row.home_tries,
-        away_tries=row.away_tries,
-        venue=_VENUES[row.venue],
-        result_override=_OVERRIDES.get(row.outcome_override),
-    )
+def _texts(c: dict, blank: dict, name: str, index: np.ndarray) -> list[str]:
+    """One field's cells at ``index`` as the audit log writes them."""
+    cells = c[name][index].tolist()
+    if name in blank:
+        cells = ["" if b else str(v)
+                 for v, b in zip(cells, blank[name][index].tolist())]
+    return cells
 
 
 def clean(rows: Iterable[RawMatchRow]) -> CleanResult:
@@ -359,41 +419,57 @@ def clean(rows: Iterable[RawMatchRow]) -> CleanResult:
     Row indices in actions and rejections are 1-based positions in the
     input sequence. Exact duplicates of an earlier row are rejected.
     """
-    kept_rows: list[RawMatchRow] = []
-    records: list[MatchRecord] = []
-    actions: list[CleaningAction] = []
-    rejected: list[RejectedRow] = []
+    table = MatchTable.of(rows)
+    # one key pass: a row's key is every field, with its blank flags
+    keys = zip(*(column.tolist() for column in table.columns.values()),
+               *(mask.tolist() for mask in table.blank.values()))
     seen: dict[tuple, int] = {}
-    for index, original in enumerate(rows, start=1):
-        key = tuple(getattr(original, f.name)
-                    for f in dataclass_fields(RawMatchRow))
-        if key in seen:
-            rejected.append(RejectedRow(
-                index, f"exact duplicate of row {seen[key]}"))
-            continue
-        seen[key] = index
-        row = RawMatchRow(**{f.name: getattr(original, f.name)
-                             for f in dataclass_fields(RawMatchRow)})
-        for rule in _RULES:
-            action = rule(row, index)
-            if action is not None:
-                actions.append(action)
-        reason = _validate_row(row)
-        if reason is not None:
-            rejected.append(RejectedRow(index, reason))
-            continue
-        kept_rows.append(row)
-        records.append(_to_record(row))
-    return CleanResult(records=tuple(records), actions=tuple(actions),
-                       rejected=tuple(rejected), rows=tuple(kept_rows))
+    first = np.array([seen.setdefault(key, k) for k, key in enumerate(keys)],
+                     dtype=np.intp)
+    duplicate = first != np.arange(len(table))
+    fresh = np.flatnonzero(~duplicate)
+    work = table.take(fresh)
+    c, blank = dict(work.columns), dict(work.blank)
+    events = []
+    for order, (rule, names, apply) in enumerate(_RULES):
+        before_c, before_blank = dict(c), dict(blank)
+        acted, descriptions = apply(c, blank)
+        fields = [(name, _texts(before_c, before_blank, name, acted),
+                   _texts(c, blank, name, acted)) for name in names]
+        for j, (row, description) in enumerate(zip(
+                (fresh[acted] + 1).tolist(), descriptions)):
+            events.append((row, order, CleaningAction(
+                row, rule, description,
+                tuple(FieldChange(name, old[j], new[j])
+                      for name, old, new in fields if old[j] != new[j]))))
+    events.sort(key=lambda event: event[:2])
+    rejected = [(k, f"exact duplicate of row {first[k] + 1}")
+                for k in np.flatnonzero(duplicate).tolist()]
+    failed = np.zeros(len(work), dtype=bool)
+    for mask, reason in _rejections(c, blank):
+        for k in np.flatnonzero(mask & ~failed).tolist():
+            rejected.append((int(fresh[k]), reason(k)))
+        failed |= mask
+    rejected.sort()
+    kept = np.flatnonzero(~failed)
+    cleaned = MatchTable(c, blank).take(kept)
+    override = np.full(len(cleaned), -1, dtype=np.intp)
+    for token, cell in _OVERRIDE_CELLS.items():
+        override[cleaned.columns[OVERRIDE_COLUMN] == token] = cell
+    return CleanResult(
+        records=MatchColumns(
+            *(cleaned.columns[name] for name in ("home_team", "away_team")
+              + _INT_FIELDS),
+            cleaned.columns["venue"] == "Home", override),
+        actions=tuple(action for _, _, action in events),
+        rejected=tuple(RejectedRow(k + 1, reason) for k, reason in rejected),
+        rows=cleaned)
 
 
 def replay_actions(rows: Iterable[RawMatchRow],
                    actions: Iterable[CleaningAction]) -> list[RawMatchRow]:
     """Apply an audit log's after-values back onto raw rows."""
-    out = [RawMatchRow(**{f.name: getattr(row, f.name)
-                          for f in dataclass_fields(RawMatchRow)})
-           for row in rows]
+    out = [replace(row) for row in rows]
     for action in actions:
         row = out[action.row - 1]
         for change in action.changes:
@@ -408,14 +484,21 @@ def replay_actions(rows: Iterable[RawMatchRow],
 def write_cleaned_csv(rows: Iterable[RawMatchRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EXPECTED_HEADER + (OVERRIDE_COLUMN,))
-    for row in rows:
-        writer.writerow([
-            row.date, row.home_team, row.away_team,
-            _cell_text(row.home_score), _cell_text(row.away_score),
-            _cell_text(row.home_tries), _cell_text(row.away_tries),
-            row.venue, row.declared_result, row.outcome_override,
-        ])
+    writer.writerow(_FIELDS)
+    table = MatchTable.of(rows)
+    # a block of rows at a time, so that few cells are alive at once
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        columns = []
+        for name in _FIELDS:
+            cells = table.columns[name][block].tolist()
+            if name in table.blank:
+                # integers as text, so the writer has no conversions left
+                cells = list(map(str, cells))
+                for k in np.flatnonzero(table.blank[name][block]).tolist():
+                    cells[k] = ""
+            columns.append(cells)
+        writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .domain import (
     DEFAULT_POINTS,
+    MatchColumns,
     MatchRecord,
     PointsSystem,
     TeamRecord,
@@ -145,11 +146,11 @@ def merit_points(records: Mapping[str, TeamRecord],
     ``records`` are the teams' playing records over the same ``matches``.
     """
     tenths = {team: 0 for team in records}
-    for match in matches:
-        tenths[match.home_team] += previous_rank_band(
-            previous_ranks.get(match.away_team))
-        tenths[match.away_team] += previous_rank_band(
-            previous_ranks.get(match.home_team))
+    matches = MatchColumns.of(matches)
+    for home, away in zip(matches.home_team.tolist(),
+                          matches.away_team.tolist()):
+        tenths[home] += previous_rank_band(previous_ranks.get(away))
+        tenths[away] += previous_rank_band(previous_ranks.get(home))
     return {
         team: (record.league_points * 10 + tenths[team] * record.played)
         / (10 * record.played)

@@ -10,7 +10,8 @@ import pytest
 
 import scrumrank.rank as rank
 from scrumrank.cli import _load_parameters_file, main
-from scrumrank.ingest import load_matches
+from scrumrank.domain import MatchRecord
+from scrumrank.ingest import RawMatchRow, load_matches
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -298,6 +299,27 @@ def test_rank_with_previous_ranks_tallies_the_season_once(tmp_path,
     assert len(calls) == 1
 
 
+def test_ingest_builds_no_per_row_objects(tmp_path, monkeypatch):
+    """``clean``, ``fit`` and ``rank`` read a season as columns: no
+    subcommand builds a RawMatchRow or a MatchRecord per row."""
+    season, model = _fit_model(tmp_path)
+    built = []
+    for cls in (RawMatchRow, MatchRecord):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init,
+                            **kwargs: built.append(self) or init(
+                                self, *args, **kwargs))
+    raw = DATA / "golden_cleaning_raw.csv"
+    assert main(["clean", str(raw), str(tmp_path / "cleaned.csv"),
+                 str(tmp_path / "audit.csv")]) == 3
+    assert main(["fit", str(season), str(model)]) == 0
+    assert main(["rank", str(model), str(season), str(tmp_path / "table.csv"),
+                 "--prev-ranks", str(DATA / "prev_ranks.csv")]) == 0
+    assert built == []
+    # the patch is live: reading the records still builds them on demand
+    assert len(list(load_matches(season).records)) == len(built) > 0
+
+
 def test_rank_team_mismatch_exit_five(tmp_path, capsys):
     _, model = _fit_model(tmp_path)
     other = tmp_path / "other.csv"
@@ -455,6 +477,9 @@ def test_interpret_missing_kappa_exit_two(tmp_path, capsys):
     ("simulate", "bare", {"strengths": [1.0, 2.0]}, "strengths"),
     ("interpret", "bare", {"rho_n": "x"}, "rho_n"),
     ("interpret", "bare", {"rho_n": -1.0}, "rho_n"),
+    ("rank", "model", {"points_system": {"bogus": 1}}, "bogus"),
+    ("interpret", "model", {"points_system": {"bogus": 1}}, "bogus"),
+    ("simulate", "model", {"points_system": {"bogus": 1}}, "bogus"),
 ])
 def test_malformed_parameter_files_exit_two(tmp_path, capsys, command,
                                             source, changes, named):
@@ -475,6 +500,29 @@ def test_malformed_parameter_files_exit_two(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("section, name, value, named", [
+    ("strengths", "team", "x", "strengths of"),
+    ("kappa", None, -1.0, "kappa"),
+])
+def test_rank_validates_the_model_parameters(tmp_path, capsys, section,
+                                             name, value, named):
+    season, path = _fit_model(tmp_path)
+    doc = json.loads(path.read_text())
+    if name is None:
+        doc["parameters"][section] = value
+    else:
+        team = sorted(doc["parameters"][section])[0]
+        doc["parameters"][section][team] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["rank", str(path), str(season),
+                 str(tmp_path / "table.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and repr(value) in err
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_interpret_rejects_other_variants(tmp_path):

@@ -10,6 +10,7 @@ from scrumrank.domain import (
     TRY_ORDER,
     RESULT_INDEX,
     TRY_INDEX,
+    MatchColumns,
     MatchRecord,
     OutcomeCounts,
     PointsSystem,
@@ -116,6 +117,8 @@ def test_points_system_dict_round_trip():
     assert PointsSystem.from_dict(points.to_dict()) == points
     assert PointsSystem.from_dict({"losing_bonus_margin": 5}) == \
         PointsSystem(losing_bonus_margin=5)
+    with pytest.raises(ValueError, match=r"unknown keys \['bogus'\]"):
+        PointsSystem.from_dict({"win_points": 3, "bogus": 1})
 
 
 def test_match_record_validation():
@@ -320,6 +323,20 @@ def test_outcome_counts_do_not_depend_on_match_order():
     # rows sorted by home team, away team and venue value
     keys = [(home, away, venue.value) for home, away, venue in counts.pairs]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_match_columns_read_back_as_the_records():
+    matches = [*load_matches(DATA / "golden_season.csv").records,
+               *_hand_season()]
+    columns = MatchColumns.of(matches)
+    assert MatchColumns.of(columns) is columns
+    assert len(columns) == len(matches)
+    assert list(columns) == matches
+    assert [columns[k] for k in range(-len(matches), 0)] == matches
+    assert all(type(value) is int for match in columns
+               for value in dataclasses.astuple(match)[2:6])
+    assert len(MatchColumns.of([])) == 0
+    assert outcome_counts([]).total_matches() == 0
 
 
 def test_enum_orders_are_stable():
