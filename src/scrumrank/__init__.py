@@ -20,9 +20,6 @@ from .domain import (
     TeamRecord,
     TryOutcome,
     Venue,
-    classify_match,
-    classify_result,
-    classify_try,
     league_points,
     outcome_counts,
     sufficient_stats,

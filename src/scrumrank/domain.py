@@ -240,51 +240,6 @@ class MatchColumns(abc.Sequence):
 _COUNT_FIELDS = ("home_score", "away_score", "home_tries", "away_tries")
 
 
-def classify_result(home_score: int, away_score: int,
-                    points: PointsSystem = DEFAULT_POINTS) -> ResultOutcome:
-    """Classify a final score into the five-way result outcome.
-
-    A margin equal to ``losing_bonus_margin`` still counts as narrow: the
-    boundary is inclusive because the loser collects the bonus point there.
-    """
-    margin = home_score - away_score
-    if margin == 0:
-        return ResultOutcome.DRAW
-    narrow = abs(margin) <= points.losing_bonus_margin
-    if margin > 0:
-        return ResultOutcome.HOME_NARROW if narrow else ResultOutcome.HOME_WIDE
-    return ResultOutcome.AWAY_NARROW if narrow else ResultOutcome.AWAY_WIDE
-
-
-def classify_try(home_tries: int, away_tries: int,
-                 points: PointsSystem = DEFAULT_POINTS) -> TryOutcome:
-    """Classify try counts into the four-way try-bonus outcome."""
-    home = home_tries >= points.try_bonus_threshold
-    away = away_tries >= points.try_bonus_threshold
-    if home and away:
-        return TryOutcome.BOTH_BONUS
-    if home:
-        return TryOutcome.HOME_BONUS
-    if away:
-        return TryOutcome.AWAY_BONUS
-    return TryOutcome.ZERO_BONUS
-
-
-def classify_match(record: MatchRecord,
-                   points: PointsSystem = DEFAULT_POINTS
-                   ) -> tuple[ResultOutcome, TryOutcome]:
-    """Classify a record, honouring a declared-result override.
-
-    Override records score as a narrow win with no try bonuses; their try
-    outcome is reported as ZERO_BONUS for points purposes but they are kept
-    out of try-outcome counts entirely.
-    """
-    if record.result_override is not None:
-        return record.result_override, TryOutcome.ZERO_BONUS
-    return (classify_result(record.home_score, record.away_score, points),
-            classify_try(record.home_tries, record.away_tries, points))
-
-
 def league_points(result: ResultOutcome, tries: TryOutcome,
                   points: PointsSystem = DEFAULT_POINTS) -> tuple[int, int]:
     """League points (home, away) awarded for an outcome pair."""
@@ -441,9 +396,10 @@ def outcome_counts(matches: Iterable[MatchRecord],
                    points: PointsSystem = DEFAULT_POINTS) -> OutcomeCounts:
     """Tally classified outcomes for match records or ``MatchColumns``.
 
-    One array pass classifies every match as ``classify_match`` does:
-    a declared result takes its override cell and stays out of the try
-    counts.
+    One array pass classifies every match. A margin of at most
+    ``losing_bonus_margin`` is narrow, and a side with at least
+    ``try_bonus_threshold`` tries takes a try bonus; a declared result
+    takes its override cell and stays out of the try counts.
     """
     m = MatchColumns.of(matches)
     # RESULT_ORDER and TRY_ORDER cells, as indices

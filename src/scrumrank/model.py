@@ -34,13 +34,17 @@ parameter packing, PPPM, simulation and the CLI all loop over that
 description instead of branching on the variant.
 
 One function, ``log_cell_weights``, builds the log cell weights of a block
-for a whole array of fixtures at once (cells x fixtures). The fit in
-``estimate``, ``outcome_distribution`` and ``expected_points`` here, PPPM in
-``rank`` and season sampling in ``simulate`` all go through it; named
-fixtures reach it through one mapping from ``Parameters`` to log arrays
-that covers all four variants. Probabilities are normalized in the log
-domain with a max shift per fixture, so enormous strength ratios cannot
-overflow.
+for a whole array of fixtures at once: the cell axis leads, and the
+fixtures may form an array of any shape. The fit in ``estimate``,
+``outcome_distribution`` and ``expected_points`` here, PPPM in ``rank``
+and season sampling in ``simulate`` all go through it. Everything but the
+fit reaches it through ``TeamLogs``, the one mapping from ``Parameters``
+to per-team log arrays, which covers all four variants: named fixtures
+are looked up as team positions, and PPPM passes a column of home
+positions against the row of all teams, so each chunk of the double
+round robin is one 2-D evaluation. Probabilities are normalized in the
+log domain with a max shift per fixture, so enormous strength ratios
+cannot overflow.
 """
 
 from __future__ import annotations
@@ -332,48 +336,38 @@ def log_cell_weights(block: OutcomeBlock, log_pi_home: np.ndarray,
     arrays: each side's log strength, log kappa times the home-ground mask
     (zero at neutral grounds and in variants without a single kappa), and
     the sum of both sides' log defensive strengths, read only by a block
-    with defence exponents.
+    with defence exponents. The two strength arrays may have any shapes
+    that broadcast together, such as a column of home sides against a row
+    of away sides, and the other two must broadcast to their shape; the
+    cell axis leads and the fixtures' shape follows it.
     """
-    lw = block.home_points[:, None] * log_pi_home[None, :] \
-        + block.away_points[:, None] * log_pi_away[None, :]
+    ndim = max(np.ndim(log_pi_home), np.ndim(log_pi_away))
+
+    def lead(exps):
+        return exps.reshape((-1,) + (1,) * ndim)
+
+    lw = lead(block.home_points) * log_pi_home \
+        + lead(block.away_points) * log_pi_away
     for name, exps in block.structural.items():
-        lw = lw + exps[:, None] * log_structural[name]
-    lw = lw + block.kappa_exp[:, None] * log_kappa_home[None, :]
+        lw += lead(exps) * log_structural[name]
+    lw += lead(block.kappa_exp) * log_kappa_home
     if block.defence_exp is not None:
-        lw = lw + block.defence_exp[:, None] * defence_sum[None, :]
+        lw += lead(block.defence_exp) * defence_sum
     return lw
 
 
 def _normalize_log_weights(lw: np.ndarray) -> np.ndarray:
-    weights = np.exp(lw - lw.max(axis=0))
-    return weights / weights.sum(axis=0)
+    """Cell probabilities from log weights, overwriting ``lw``."""
+    lw -= lw.max(axis=0)
+    weights = np.exp(lw, out=lw)
+    weights /= weights.sum(axis=0)
+    return weights
 
 
 def _team_logs(values: Mapping[str, float], teams: Sequence[str]) -> np.ndarray:
     # math.log rather than np.log: NumPy's SIMD log can differ in the last
     # bit, and sampled seasons should not depend on the CPU's vector units
     return np.array([math.log(values[team]) for team in teams], dtype=float)
-
-
-def _kernel_arguments(params: Parameters, home: Sequence[str],
-                      away: Sequence[str], venue: Sequence[Venue],
-                      variant: VariantConfig) -> tuple:
-    """Map parameters onto ``log_cell_weights``'s per-fixture arguments.
-
-    Each side's strength comes from the layout's home or away table; kappa
-    applies only where the layout has it.
-    """
-    layout = parameter_layout(variant)
-    log_structural = {name: math.log(getattr(params, name))
-                      for name in layout.structural}
-    at_home = np.array([v is Venue.HOME_GROUND for v in venue], dtype=float)
-    defence_sum = None
-    if layout.defence:
-        defence = getattr(params, layout.defence)
-        defence_sum = _team_logs(defence, home) + _team_logs(defence, away)
-    return (_team_logs(getattr(params, layout.home), home),
-            _team_logs(getattr(params, layout.away), away), log_structural,
-            log_structural.get("kappa", 0.0) * at_home, defence_sum)
 
 
 @dataclass(frozen=True)
@@ -394,6 +388,72 @@ class OutcomeDistribution:
             if np.abs(probs.sum(axis=0) - 1.0).max() > tol \
                     or (probs < 0).any():
                 raise ValueError(f"{name} probabilities are not a distribution")
+
+    def expected_points(self, points: PointsSystem = DEFAULT_POINTS
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Expected league points (home, away), each shaped as the
+        fixtures are; ``points`` must be the system the result
+        probabilities were built with."""
+        home, away = (
+            np.tensordot(np.stack(result_points_arrays(points)),
+                         self.result, 1)
+            + np.tensordot(np.stack(try_points_arrays()), self.tries, 1))
+        return home, away
+
+
+@dataclass(frozen=True)
+class TeamLogs:
+    """A variant's log parameters for a list of teams, each taken once.
+
+    ``home`` and ``away`` hold the logs of the layout's home and away
+    strength tables in team order (one table serves both sides outside
+    the team-specific variant), ``defence`` the defence table's logs when
+    the variant reads one, and ``structural`` the log of each structural
+    level. This is the one mapping from ``Parameters`` to the kernel's
+    arguments.
+    """
+
+    variant: VariantConfig
+    home: np.ndarray
+    away: np.ndarray
+    defence: np.ndarray | None
+    structural: Mapping[str, float]
+
+    @classmethod
+    def of(cls, params: Parameters, teams: Sequence[str],
+           variant: VariantConfig = DEFAULT_VARIANT) -> "TeamLogs":
+        layout = parameter_layout(variant)
+        defence = None
+        if layout.defence:
+            defence = _team_logs(getattr(params, layout.defence), teams)
+        return cls(variant, _team_logs(getattr(params, layout.home), teams),
+                   _team_logs(getattr(params, layout.away), teams), defence,
+                   {name: math.log(getattr(params, name))
+                    for name in layout.structural})
+
+    def distribution(self, home: np.ndarray, away: np.ndarray,
+                     at_home: np.ndarray | float,
+                     points: PointsSystem = DEFAULT_POINTS
+                     ) -> OutcomeDistribution:
+        """Outcome distribution of the fixtures between the teams at
+        positions ``home`` and ``away``, with ``at_home`` 1 at the home
+        side's ground and 0 at a neutral one.
+
+        ``home`` and ``away`` are integer arrays of any shapes that
+        broadcast together, and ``at_home`` broadcasts to their shape; the
+        distribution's arrays are cells x that shape. Kappa applies only
+        where the layout has it.
+        """
+        defence_sum = None
+        if self.defence is not None:
+            defence_sum = self.defence[home] + self.defence[away]
+        args = (self.home[home], self.away[away], self.structural,
+                self.structural.get("kappa", 0.0) * at_home, defence_sum)
+        return OutcomeDistribution(
+            _normalize_log_weights(log_cell_weights(result_block(points),
+                                                    *args)),
+            _normalize_log_weights(log_cell_weights(try_block(self.variant),
+                                                    *args)))
 
 
 def outcome_distribution(params: Parameters, home: str | Sequence[str],
@@ -416,13 +476,16 @@ def outcome_distribution(params: Parameters, home: str | Sequence[str],
     if not len(home) == len(away) == len(venue):
         raise ValueError("home teams, away teams and venues must match in "
                          "length")
-    args = _kernel_arguments(params, home, away, venue, variant)
-    result = _normalize_log_weights(
-        log_cell_weights(result_block(points), *args))
-    tries = _normalize_log_weights(log_cell_weights(try_block(variant), *args))
+    position = {team: k for k, team in enumerate(dict.fromkeys([*home,
+                                                               *away]))}
+    dist = TeamLogs.of(params, list(position), variant).distribution(
+        np.array([position[team] for team in home], dtype=np.intp),
+        np.array([position[team] for team in away], dtype=np.intp),
+        np.array([v is Venue.HOME_GROUND for v in venue], dtype=float),
+        points)
     if single:
-        return OutcomeDistribution(result[:, 0], tries[:, 0])
-    return OutcomeDistribution(result, tries)
+        return OutcomeDistribution(dist.result[:, 0], dist.tries[:, 0])
+    return dist
 
 
 def expected_points(params: Parameters, home: str | Sequence[str],
@@ -435,11 +498,8 @@ def expected_points(params: Parameters, home: str | Sequence[str],
     Takes fixtures as ``outcome_distribution`` does; returns two floats
     for one fixture and two arrays over fixtures for sequences.
     """
-    dist = outcome_distribution(params, home, away, variant, venue, points)
-    res_home, res_away = result_points_arrays(points)
-    try_home, try_away = try_points_arrays()
-    home_exp = res_home @ dist.result + try_home @ dist.tries
-    away_exp = res_away @ dist.result + try_away @ dist.tries
+    home_exp, away_exp = outcome_distribution(
+        params, home, away, variant, venue, points).expected_points(points)
     if isinstance(home, str):
         return float(home_exp), float(away_exp)
     return home_exp, away_exp

@@ -24,7 +24,6 @@ from scrumrank.domain import (
     ResultOutcome,
     TryOutcome,
     Venue,
-    classify_match,
     outcome_counts,
 )
 from scrumrank.model import Parameters
@@ -117,27 +116,25 @@ def acceptable(rows: list[list[str]]) -> bool:
     result = clean(parse_csv(text))
     if result.rejected or result.actions:
         return False
-    records = list(result.records)
+    records = result.records
     wins = {team: 0 for team in TEAMS}
     losses = {team: 0 for team in TEAMS}
-    seen_results: set[ResultOutcome] = set()
-    seen_tries: set[TryOutcome] = set()
     for record in records:
-        outcome, tries = classify_match(record)
-        seen_results.add(outcome)
-        seen_tries.add(tries)
         if record.home_score > record.away_score:
             wins[record.home_team] += 1
             losses[record.away_team] += 1
         elif record.home_score < record.away_score:
             wins[record.away_team] += 1
             losses[record.home_team] += 1
-    if seen_results != set(ResultOutcome) or seen_tries != set(TryOutcome):
+    counts = outcome_counts(records)
+    # every result and try outcome class occurs somewhere in the season
+    if (counts.result.sum(axis=0) == 0).any() \
+            or (counts.tries.sum(axis=0) == 0).any():
         return False
     if any(wins[t] == 0 or losses[t] == 0 for t in TEAMS):
         return False
     try:
-        fit(outcome_counts(records), FitConfig(prior=PriorConfig(weight=0.0)))
+        fit(counts, FitConfig(prior=PriorConfig(weight=0.0)))
     except NonConvergenceError:
         return False
     return True

@@ -167,8 +167,11 @@ def test_perfbench_tracer_wraps_and_restores_every_layer(tmp_path):
         saved = list(tracer.saved)
         assert all(getattr(module, attr) is not original
                    for module, attr, original in saved)
-        _fit_model(tmp_path)
+        season, model = _fit_model(tmp_path)
         assert spans.score_seconds(tracer, repeats=1) > 0
+        assert main(["rank", str(model), str(season),
+                     str(tmp_path / "table.csv"), "--prev-ranks",
+                     str(DATA / "prev_ranks.csv")]) == 0
         metrics = spans.layer_metrics(tracer)
     finally:
         tracer.restore()
@@ -179,6 +182,10 @@ def test_perfbench_tracer_wraps_and_restores_every_layer(tmp_path):
     assert all(getattr(module, attr) is original
                for module, attr, original in saved)
     assert metrics["estimate.fit_calls"] == 1
+    # PPPM runs under its span without a single named-fixture call
+    assert metrics["rank.pppm_s"] > 0
+    assert metrics["rank.merit_points_s"] > 0
+    assert metrics["model.expected_points_calls"] == 0
     # the count perfbench reads from the table's pairs view
     triples = {(match.home_team, match.away_team, match.venue) for match
                in load_matches(DATA / "golden_season.csv").records}

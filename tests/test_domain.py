@@ -18,9 +18,6 @@ from scrumrank.domain import (
     TeamRecord,
     TryOutcome,
     Venue,
-    classify_match,
-    classify_result,
-    classify_try,
     league_points,
     outcome_counts,
     result_points_arrays,
@@ -31,6 +28,47 @@ from scrumrank.domain import (
 from scrumrank.ingest import load_matches
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+# Scalar classifiers, one match at a time: the reference that
+# outcome_counts' array pass is checked against.
+def classify_result(home_score: int, away_score: int,
+                    points: PointsSystem = DEFAULT_POINTS) -> ResultOutcome:
+    """The five-way result of a final score; a margin equal to
+    ``losing_bonus_margin`` still counts as narrow."""
+    margin = home_score - away_score
+    if margin == 0:
+        return ResultOutcome.DRAW
+    narrow = abs(margin) <= points.losing_bonus_margin
+    if margin > 0:
+        return ResultOutcome.HOME_NARROW if narrow else ResultOutcome.HOME_WIDE
+    return ResultOutcome.AWAY_NARROW if narrow else ResultOutcome.AWAY_WIDE
+
+
+def classify_try(home_tries: int, away_tries: int,
+                 points: PointsSystem = DEFAULT_POINTS) -> TryOutcome:
+    """The four-way try-bonus outcome of the try counts."""
+    home = home_tries >= points.try_bonus_threshold
+    away = away_tries >= points.try_bonus_threshold
+    if home and away:
+        return TryOutcome.BOTH_BONUS
+    if home:
+        return TryOutcome.HOME_BONUS
+    if away:
+        return TryOutcome.AWAY_BONUS
+    return TryOutcome.ZERO_BONUS
+
+
+def classify_match(record: MatchRecord,
+                   points: PointsSystem = DEFAULT_POINTS
+                   ) -> tuple[ResultOutcome, TryOutcome]:
+    """A record's outcomes; a declared result scores as its override with
+    no try bonus (its try outcome reads ZERO_BONUS, though outcome_counts
+    keeps it out of the try counts)."""
+    if record.result_override is not None:
+        return record.result_override, TryOutcome.ZERO_BONUS
+    return (classify_result(record.home_score, record.away_score, points),
+            classify_try(record.home_tries, record.away_tries, points))
 
 
 def test_result_classification_margin_boundaries():
@@ -271,6 +309,45 @@ def test_team_records_equal_a_match_by_match_tally(points):
     assert list(records) == sorted(records)
     assert all(type(value) is int for record in records.values()
                for value in dataclasses.astuple(record)[1:])
+
+
+@pytest.mark.parametrize("points", [
+    DEFAULT_POINTS,
+    PointsSystem(losing_bonus_margin=5, try_bonus_threshold=3),
+])
+def test_outcome_counts_equal_the_scalar_classification(points):
+    rng = np.random.default_rng(17)
+    teams = ("A", "B", "C", "D", "E")
+    matches = []
+    for _ in range(400):
+        home, away = rng.choice(teams, 2, replace=False).tolist()
+        venue = Venue.NEUTRAL if rng.random() < 0.2 else Venue.HOME_GROUND
+        if rng.random() < 0.1:
+            override = (ResultOutcome.HOME_NARROW,
+                        ResultOutcome.AWAY_NARROW)[rng.integers(2)]
+            matches.append(MatchRecord(home, away, 0, 0, 0, 0, venue=venue,
+                                       result_override=override))
+            continue
+        tries = rng.integers(0, 6, 2)
+        # margins cluster around the narrow/wide boundaries
+        home_score = int(5 * tries[0] + rng.integers(0, 12))
+        away_score = int(max(5 * tries[1], home_score
+                             + rng.integers(-9, 10)))
+        matches.append(MatchRecord(home, away, home_score, away_score,
+                                   int(tries[0]), int(tries[1]), venue))
+    expected: dict = {}
+    for match in matches:
+        result, tries = classify_match(match, points)
+        key = (match.home_team, match.away_team, match.venue)
+        cells = expected.setdefault(key, (np.zeros(5), np.zeros(4)))
+        cells[0][RESULT_INDEX[result]] += 1
+        if match.result_override is None:
+            cells[1][TRY_INDEX[tries]] += 1
+    counts = outcome_counts(matches, points)
+    assert set(counts.pairs) == set(expected)
+    for key, (result, tries) in expected.items():
+        assert np.array_equal(counts.pairs[key].result, result), key
+        assert np.array_equal(counts.pairs[key].tries, tries), key
 
 
 def test_sufficient_stats_hand_computed():

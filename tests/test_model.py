@@ -356,6 +356,24 @@ def test_team_specific_home_model_uses_side_strengths():
     assert np.allclose(dist.joint(), again.joint(), atol=0, rtol=0)
 
 
+def test_team_specific_fixtures_read_home_and_away_tables():
+    # each fixture is the no-home-advantage fixture between the home side's
+    # home strength and the away side's away strength
+    variant = VariantConfig(home_model=HomeModel.TEAM_SPECIFIC)
+    plain = VariantConfig(home_model=HomeModel.NONE)
+    home_table = {"A": 2.0, "B": 0.6, "C": 1.3}
+    away_table = {"A": 0.9, "B": 1.7, "C": 0.4}
+    params = _params({}, home_strengths=home_table, away_strengths=away_table)
+    pairs = [(a, b) for a in home_table for b in home_table if a != b]
+    dist = outcome_distribution(params, [a for a, _ in pairs],
+                                [b for _, b in pairs], variant)
+    for k, (home, away) in enumerate(pairs):
+        pair = _params({home: home_table[home], away: away_table[away]})
+        want = outcome_distribution(pair, home, away, plain)
+        assert np.allclose(dist.result[:, k], want.result, rtol=1e-13, atol=0)
+        assert np.allclose(dist.tries[:, k], want.tries, rtol=1e-13, atol=0)
+
+
 def test_custom_points_system_changes_exponents():
     points = PointsSystem(win_points=3, draw_points=1, loss_points=0)
     params = _params({"A": 2.0, "B": 0.5})

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import pathlib
 
@@ -14,7 +16,15 @@ from scrumrank.domain import (
 )
 from scrumrank.estimate import FitConfig, PriorConfig, fit
 from scrumrank.ingest import load_matches
-from scrumrank.model import Parameters, expected_points
+from scrumrank import rank
+from scrumrank.model import (
+    HomeModel,
+    ParameterError,
+    Parameters,
+    TryModel,
+    VariantConfig,
+    expected_points,
+)
 from scrumrank.rank import (
     RankingTable,
     RankRow,
@@ -207,6 +217,97 @@ def test_pppm_is_the_double_round_robin_mean_in_every_variant():
                                              Venue.HOME_GROUND)[1]
             longhand = total / (2 * (len(teams) - 1))
             assert abs(ratings[team] - longhand) <= 1e-12, (name, team)
+
+
+def _every_variant():
+    for try_model, home_model in itertools.product(TryModel, HomeModel):
+        try:
+            yield VariantConfig(try_model, home_model)
+        except ParameterError:
+            pass  # team-specific home advantage takes only one try block
+
+
+def _variant_params(teams, seed, scale):
+    """Independent draws for every table and level any variant reads."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return {t: float(np.exp(rng.normal(0, scale))) for t in teams}
+
+    return Parameters(strengths=draw(), kappa=1.113, **REFERENCE_MEANS,
+                      tau=0.3, delta=draw(), home_strengths=draw(),
+                      away_strengths=draw())
+
+
+def _longhand_pppm(params, variant, teams):
+    """The double-round-robin mean from one named call over every ordered
+    pair of distinct teams."""
+    home, away = zip(*itertools.permutations(teams, 2))
+    at_home, on_road = expected_points(params, list(home), list(away),
+                                       variant, Venue.HOME_GROUND)
+    position = {team: k for k, team in enumerate(teams)}
+    totals = (np.bincount([position[t] for t in home], at_home, len(teams))
+              + np.bincount([position[t] for t in away], on_road,
+                            len(teams)))
+    return {team: totals[k] / (2 * (len(teams) - 1))
+            for team, k in position.items()}
+
+
+@pytest.mark.parametrize("variant", list(_every_variant()),
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+def test_pppm_chunks_agree_with_every_ordered_pair(variant):
+    teams = [f"T{k:03d}" for k in range(150)]
+    rows = rank.PPPM_CHUNK_FIXTURES // len(teams)
+    # at least two chunks of home rows, the last one partial
+    assert 1 <= rows < len(teams) and len(teams) % rows
+    params = _variant_params(teams, seed=41, scale=0.8)
+    ratings = pppm(params, variant=variant)
+    longhand = _longhand_pppm(params, variant, teams)
+    assert list(ratings) == teams
+    for team in teams:
+        assert abs(ratings[team] - longhand[team]) <= 1e-12, team
+
+
+def test_team_specific_pppm_reads_home_rows_and_away_columns(monkeypatch):
+    # three chunks of two home rows; each fixture is the no-home-advantage
+    # fixture between the home side's home strength and the away side's
+    # away strength
+    monkeypatch.setattr(rank, "PPPM_CHUNK_FIXTURES", 12)
+    teams = [f"T{k}" for k in range(6)]
+    params = _variant_params(teams, seed=47, scale=0.8)
+    plain = VariantConfig(home_model=HomeModel.NONE)
+    totals = dict.fromkeys(teams, 0.0)
+    for home, away in itertools.permutations(teams, 2):
+        pair = Parameters(strengths={home: params.home_strengths[home],
+                                     away: params.away_strengths[away]},
+                          **REFERENCE_MEANS)
+        at_home, on_road = expected_points(pair, home, away, plain)
+        totals[home] += at_home
+        totals[away] += on_road
+    ratings = pppm(params,
+                   variant=VariantConfig(home_model=HomeModel.TEAM_SPECIFIC))
+    for team in teams:
+        assert abs(ratings[team] - totals[team] / 10) <= 1e-12, team
+
+
+@pytest.mark.parametrize("variant", list(_every_variant()),
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+def test_pppm_stays_finite_at_enormous_strength_ratios(variant):
+    teams = [f"T{k}" for k in range(9)]
+    levels = (1e150, 1e-150, 1.0)
+    params = _variant_params(teams, seed=43, scale=0.5)
+    extreme = {name: {t: levels[k % 3] * value
+                      for k, (t, value) in enumerate(table.items())}
+               for name, table in (("strengths", params.strengths),
+                                   ("home_strengths", params.home_strengths),
+                                   ("away_strengths", params.away_strengths))}
+    ratings = pppm(dataclasses.replace(params, **extreme), variant=variant)
+    assert all(math.isfinite(v) and 0.0 <= v <= 5.0
+               for v in ratings.values())
+    # the ratings still order the three strength levels
+    assert ratings["T0"] > ratings["T2"] > ratings["T1"]
 
 
 def test_build_table_marks_short_seasons_nr():
