@@ -240,8 +240,7 @@ def _cmd_rank(args, argv) -> int:
     matches = result.records
     records = playing_records(matches, points)
     ratings = pppm(model, points=points)
-    table = build_table(ratings, records, method="PPPM",
-                        min_matches=args.min_matches)
+    table = build_table(ratings, records, min_matches=args.min_matches)
     _write_text(args.table, table.to_csv())
     outputs = [args.table]
     for row in table.rows:
@@ -252,8 +251,7 @@ def _cmd_rank(args, argv) -> int:
     if args.prev_ranks:
         prev = read_previous_ranks(_read_text(args.prev_ranks))
         merit = merit_points(records, matches, prev)
-        merit_table = build_table(merit, records, method="MeritPoints",
-                                  min_matches=args.min_matches)
+        merit_table = build_table(merit, records, min_matches=args.min_matches)
         merit_path = _sibling(args.table, "_merit")
         _write_text(merit_path, merit_table.to_csv())
         comparison = compare_rankings(merit_table, table)

@@ -1,12 +1,12 @@
-"""Match outcomes, league points and the totals that drive the rating model.
+"""Match outcomes, league points and the outcome table the rating model reads.
 
 A completed fixture is reduced to a pair of categorical outcomes: a five-way
 result (who won, and whether the margin was within the losing-bonus range)
 and a four-way try outcome (which sides reached the try-bonus threshold).
 League points are a function of that pair alone, so a season collapses to
-outcome counts per ordered (home, away, venue) triple plus a handful of
-totals, and those totals are exactly what the likelihood in
-:mod:`scrumrank.estimate` consumes. ``MatchColumns`` holds a list of
+outcome counts per ordered (home, away, venue) triple, and that table is
+what the likelihood in :mod:`scrumrank.estimate` consumes, with each
+team's observed points tallied from it. ``MatchColumns`` holds a list of
 fixtures as columns, which ``outcome_counts`` classifies in one array pass.
 ``OutcomeCounts`` holds the table as sorted per-pair arrays, built by
 ``OutcomeCounts.tabulate`` alone, and ``team_records`` is the one per-team
@@ -240,15 +240,6 @@ class MatchColumns(abc.Sequence):
 _COUNT_FIELDS = ("home_score", "away_score", "home_tries", "away_tries")
 
 
-def league_points(result: ResultOutcome, tries: TryOutcome,
-                  points: PointsSystem = DEFAULT_POINTS) -> tuple[int, int]:
-    """League points (home, away) awarded for an outcome pair."""
-    (res_home, res_away), (try_home, try_away) = (result_points_arrays(points),
-                                                  try_points_arrays())
-    r, t = RESULT_INDEX[result], TRY_INDEX[tries]
-    return int(res_home[r] + try_home[t]), int(res_away[r] + try_away[t])
-
-
 def result_points_arrays(points: PointsSystem = DEFAULT_POINTS
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Home and away result points per RESULT_ORDER cell."""
@@ -333,13 +324,12 @@ class OutcomeCounts:
             np.bincount(row[counted] * 4 + tries[counted],
                         minlength=n * 4).reshape(n, 4))
 
+    # no caller in the package; kept because perfbench/spans.py counts
+    # the rows through it
     @property
     def pairs(self) -> Mapping[PairKey, PairCounts]:
         """Read-only ``{(home, away, venue): PairCounts}`` over the rows."""
         return _PairView(self)
-
-    def total_matches(self) -> int:
-        return int(self.result.sum())
 
     def validate(self):
         """Raise for the first bad row: self-play, a negative count, or
@@ -466,51 +456,3 @@ def team_records(counts: OutcomeCounts,
     return {team: TeamRecord(team, *row)
             for team, row in zip(counts.teams, rows)}
 
-
-@dataclass(frozen=True)
-class SuffStats:
-    """Totals that, with the match counts, fully determine the likelihood.
-
-    points      league points per team, bonuses included
-    narrow      number of matches decided by a narrow margin
-    draws       number of drawn matches
-    both_bonus  matches where both sides took the try bonus
-    zero_bonus  matches where neither side did
-    home_edge   home minus away league points, non-neutral matches only
-    """
-
-    points: Mapping[str, int]
-    narrow: int
-    draws: int
-    both_bonus: int
-    zero_bonus: int
-    home_edge: int
-
-
-def sufficient_stats_from_counts(counts: OutcomeCounts,
-                                 points: PointsSystem = DEFAULT_POINTS
-                                 ) -> SuffStats:
-    """Aggregate an outcome table into the model's sufficient statistics."""
-    counts.validate()
-    records = team_records(counts, points)
-    result, tries = counts.result.sum(axis=0), counts.tries.sum(axis=0)
-    res_home, res_away = result_points_arrays(points)
-    try_home, try_away = try_points_arrays()
-    on_ground = counts.home_ground
-    edge = (counts.result[on_ground].sum(axis=0) @ (res_home - res_away)
-            + counts.tries[on_ground].sum(axis=0) @ (try_home - try_away))
-    return SuffStats(
-        points={team: record.league_points
-                for team, record in records.items()},
-        narrow=int(result[1] + result[3]),
-        draws=int(result[2]),
-        both_bonus=int(tries[0]),
-        zero_bonus=int(tries[3]),
-        home_edge=int(round(edge)),
-    )
-
-
-def sufficient_stats(matches: Iterable[MatchRecord],
-                     points: PointsSystem = DEFAULT_POINTS) -> SuffStats:
-    """Sufficient statistics straight from match records."""
-    return sufficient_stats_from_counts(outcome_counts(matches, points), points)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -168,16 +168,6 @@ class Score:
     tau_z: float | None = None
     tau: float | None = None
     kappa: float | None = None
-
-    def max_norm(self) -> float:
-        parts: list[float] = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Mapping):
-                parts.extend(abs(v) for v in value.values())
-            elif value is not None:
-                parts.append(abs(value))
-        return max(parts, default=0.0)
 
 
 @dataclass(frozen=True)

@@ -518,3 +518,27 @@ def load_matches(path) -> CleanResult:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = parse_csv(handle.read())
     return clean(rows)
+
+
+def small_csv_rows(text: str, header: tuple[str, ...],
+                   label: str) -> Iterator[tuple[int, list[str]]]:
+    """The rows after a small CSV input's header, as (row number from 1,
+    stripped cells).
+
+    An empty file, a header other than ``header`` or a row of another
+    width is a ValueError naming the input by ``label``, raised when the
+    iteration reaches it.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        found = tuple(cell.strip() for cell in next(reader))
+    except StopIteration:
+        raise ValueError(f"empty {label} file: no header row") from None
+    if found != header:
+        raise ValueError(f"bad {label} header {','.join(found)!r}; "
+                         f"expected {','.join(header)}")
+    for index, cells in enumerate(reader, start=1):
+        if len(cells) != len(header):
+            raise ValueError(f"{label} row {index}: expected {len(header)} "
+                             f"cells, found {len(cells)}")
+        yield index, [cell.strip() for cell in cells]

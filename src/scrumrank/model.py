@@ -230,10 +230,6 @@ class OutcomeBlock:
     kappa_exp: np.ndarray
     defence_exp: np.ndarray | None = None
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.outcomes)
-
 
 # Cached because every outcome_distribution call needs both blocks; one
 # block object is shared by all callers, so nothing may write to its arrays.
@@ -377,17 +373,6 @@ class OutcomeDistribution:
 
     result: np.ndarray
     tries: np.ndarray
-
-    def joint(self) -> np.ndarray:
-        """5 x 4 (x fixtures) joint probabilities; the blocks are
-        independent."""
-        return self.result[:, None] * self.tries[None, :]
-
-    def validate(self, tol: float = 1e-12):
-        for name, probs in (("result", self.result), ("try", self.tries)):
-            if np.abs(probs.sum(axis=0) - 1.0).max() > tol \
-                    or (probs < 0).any():
-                raise ValueError(f"{name} probabilities are not a distribution")
 
     def expected_points(self, points: PointsSystem = DEFAULT_POINTS
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -611,9 +596,18 @@ def generalized_mean(strengths) -> float:
     teams: each term lies in [0, 2), with an unbounded strength contributing
     exactly 2.
     """
-    values = _strength_values(strengths)
-    total = sum(2.0 if math.isinf(v) else 2.0 * v / (1.0 + v) for v in values)
-    return total / len(values)
+    values = np.array(_strength_values(strengths))
+    return _generalized_mean(values, np.isinf(values))
+
+
+def _generalized_mean(values: np.ndarray, unbounded: np.ndarray,
+                      c: float = 1.0) -> float:
+    """Mean of 2 w / (1 + w) over w = c * values, with 2 where
+    ``unbounded``; the terms are summed left to right as Python floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = c * values
+        terms = np.where(unbounded, 2.0, 2.0 * w / (1.0 + w))
+    return sum(terms.tolist()) / len(terms)
 
 
 def solve_scale(strengths, rel_tol: float = 1e-12) -> float:
@@ -623,23 +617,18 @@ def solve_scale(strengths, rel_tol: float = 1e-12) -> float:
     share of unbounded strengths), so bisection on an expanding bracket
     finds the unique root when one exists.
     """
-    values = _strength_values(strengths)
-
-    def mean_at(c: float) -> float:
-        total = sum(2.0 if math.isinf(v) else 2.0 * c * v / (1.0 + c * v)
-                    for v in values)
-        return total / len(values)
-
+    values = np.array(_strength_values(strengths))
+    unbounded = np.isinf(values)
     lo = hi = 1.0
     for _ in range(2200):
-        if mean_at(lo) < 1.0:
+        if _generalized_mean(values, unbounded, lo) < 1.0:
             break
         lo /= 2.0
     else:
         raise ValueError("no positive scale achieves a generalized mean of 1; "
                          "too many unbounded strengths")
     for _ in range(2200):
-        if mean_at(hi) > 1.0:
+        if _generalized_mean(values, unbounded, hi) > 1.0:
             break
         hi *= 2.0
     else:
@@ -647,7 +636,7 @@ def solve_scale(strengths, rel_tol: float = 1e-12) -> float:
                          "strengths are all zero or vanishing")
     while hi - lo > rel_tol * lo:
         mid = 0.5 * (lo + hi)
-        if mean_at(mid) < 1.0:
+        if _generalized_mean(values, unbounded, mid) < 1.0:
             lo = mid
         else:
             hi = mid

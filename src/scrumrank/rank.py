@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .domain import (
     team_records,
 )
 from .estimate import FittedModel
+from .ingest import small_csv_rows
 from .model import (
     DEFAULT_VARIANT,
     Parameters,
@@ -46,24 +46,14 @@ from .model import expected_points  # noqa: F401
 class TeamMismatchError(ValueError):
     """Two inputs that must cover the same teams do not."""
 
-    def __init__(self, message: str, missing: Sequence[str],
-                 extra: Sequence[str]):
-        super().__init__(message)
-        self.missing = tuple(missing)
-        self.extra = tuple(extra)
-
 
 def _require_same_teams(first: Iterable[str], second: Iterable[str],
                         what: str):
     a, b = set(first), set(second)
     if a != b:
-        missing = sorted(a - b)
-        extra = sorted(b - a)
         raise TeamMismatchError(
-            f"{what}: teams do not match (missing from second: {missing}, "
-            f"unexpected in second: {extra})",
-            missing=missing, extra=extra,
-        )
+            f"{what}: teams do not match (missing from second: "
+            f"{sorted(a - b)}, unexpected in second: {sorted(b - a)})")
 
 
 def playing_records(matches: Iterable[MatchRecord],
@@ -163,18 +153,13 @@ def merit_points(records: Mapping[str, TeamRecord],
     ``records`` are the teams' playing records over the same ``matches``.
     """
     matches = MatchColumns.of(matches)
-    n = len(matches.home_team)
-    # as fixed-width text, np.unique sorts in C rather than by Python
-    # comparisons of the name objects
-    teams, side = np.unique(np.concatenate([matches.home_team,
-                                            matches.away_team]).astype(str),
-                            return_inverse=True)
-    # each team's band as an opponent, then per team the bands it faced
-    band = np.array([previous_rank_band(previous_ranks.get(team))
-                     for team in teams.tolist()], dtype=np.int64)
-    faced = (np.bincount(side[:n], band[side[n:]], len(teams))
-             + np.bincount(side[n:], band[side[:n]], len(teams)))
-    tenths = dict(zip(teams.tolist(), faced.astype(np.int64).tolist()))
+    tenths: dict[str, int] = {}
+    for home, away in zip(matches.home_team.tolist(),
+                          matches.away_team.tolist()):
+        tenths[home] = (tenths.get(home, 0)
+                        + previous_rank_band(previous_ranks.get(away)))
+        tenths[away] = (tenths.get(away, 0)
+                        + previous_rank_band(previous_ranks.get(home)))
     return {
         team: (record.league_points * 10 + tenths.get(team, 0) * record.played)
         / (10 * record.played)
@@ -210,8 +195,6 @@ class RankingTable:
     """
 
     rows: tuple[RankRow, ...]
-    method: str
-    min_matches: int
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -227,24 +210,9 @@ class RankingTable:
             ])
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        doc = {
-            "method": self.method,
-            "min_matches": self.min_matches,
-            "rows": [
-                {"rank": row.rank, "team": row.team, "rating": row.rating,
-                 "played": row.played, "won": row.won, "drawn": row.drawn,
-                 "lost": row.lost, "league_points": row.league_points,
-                 "lppm": row.lppm, "qualified": row.qualified}
-                for row in self.rows
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
 
 def build_table(metric_values: Mapping[str, float],
                 records: Mapping[str, TeamRecord],
-                method: str = "PPPM",
                 min_matches: int = 5) -> RankingTable:
     """Rank teams by a metric, qualifying only those with enough matches.
 
@@ -279,8 +247,7 @@ def build_table(metric_values: Mapping[str, float],
         rows.append(RankRow(None, team, metric_values[team], record.played,
                             record.won, record.drawn, record.lost,
                             record.league_points, record.lppm))
-    return RankingTable(rows=tuple(rows), method=method,
-                        min_matches=min_matches)
+    return RankingTable(rows=tuple(rows))
 
 
 PREV_RANKS_HEADER = ("team", "previous_rank")
@@ -288,20 +255,9 @@ PREV_RANKS_HEADER = ("team", "previous_rank")
 
 def read_previous_ranks(text: str) -> dict[str, int]:
     """Read a previous-season ranking CSV: team,previous_rank."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(cell.strip() for cell in next(reader))
-    except StopIteration:
-        raise ValueError("empty previous-ranks file: no header row") from None
-    if header != PREV_RANKS_HEADER:
-        raise ValueError(f"bad previous-ranks header {','.join(header)!r}; "
-                         f"expected {','.join(PREV_RANKS_HEADER)}")
     ranks: dict[str, int] = {}
-    for index, cells in enumerate(reader, start=1):
-        if len(cells) != 2:
-            raise ValueError(f"previous-ranks row {index}: expected 2 cells, "
-                             f"found {len(cells)}")
-        team, rank_text = cells[0].strip(), cells[1].strip()
+    for index, (team, rank_text) in small_csv_rows(text, PREV_RANKS_HEADER,
+                                                   "previous-ranks"):
         if not team:
             raise ValueError(f"previous-ranks row {index}: blank team")
         if team in ranks:
@@ -347,9 +303,7 @@ def compare_rankings(first: RankingTable,
     common = [team for team in rows_first if team in rows_second]
     if not common:
         raise TeamMismatchError(
-            "ranking comparison: no team is ranked in both tables",
-            missing=sorted(set(rows_first) - set(rows_second)),
-            extra=sorted(set(rows_second) - set(rows_first)))
+            "ranking comparison: no team is ranked in both tables")
     moves = sorted(
         ((team, rows_first[team].rank, rows_second[team].rank)
          for team in common),

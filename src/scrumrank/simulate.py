@@ -44,6 +44,7 @@ from .domain import (
     Venue,
 )
 from .estimate import FitConfig, NonConvergenceError, fit
+from .ingest import small_csv_rows
 from .model import (
     DEFAULT_VARIANT,
     Parameters,
@@ -70,20 +71,9 @@ FIXTURES_HEADER = ("home_team", "away_team", "venue")
 
 def parse_fixtures_csv(text: str) -> list[Fixture]:
     """Read a fixture list: home_team,away_team,venue (venue blank = Home)."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(cell.strip() for cell in next(reader))
-    except StopIteration:
-        raise ValueError("empty fixtures file: no header row") from None
-    if header != FIXTURES_HEADER:
-        raise ValueError(f"bad fixtures header {','.join(header)!r}; "
-                         f"expected {','.join(FIXTURES_HEADER)}")
     fixtures = []
-    for index, cells in enumerate(reader, start=1):
-        if len(cells) != 3:
-            raise ValueError(f"fixtures row {index}: expected 3 cells, "
-                             f"found {len(cells)}")
-        home, away, venue = (cell.strip() for cell in cells)
+    for index, (home, away, venue) in small_csv_rows(text, FIXTURES_HEADER,
+                                                     "fixtures"):
         if venue in ("", "Home"):
             where = Venue.HOME_GROUND
         elif venue == "Neutral":

@@ -18,10 +18,8 @@ from scrumrank.domain import (
     TeamRecord,
     TryOutcome,
     Venue,
-    league_points,
     outcome_counts,
     result_points_arrays,
-    sufficient_stats,
     team_records,
     try_points_arrays,
 )
@@ -71,6 +69,16 @@ def classify_match(record: MatchRecord,
             classify_try(record.home_tries, record.away_tries, points))
 
 
+def cell_points(result: ResultOutcome, tries: TryOutcome,
+                points: PointsSystem = DEFAULT_POINTS) -> tuple[float, float]:
+    """League points (home, away) of an outcome pair, read from the
+    points arrays."""
+    (res_home, res_away), (try_home, try_away) = (result_points_arrays(points),
+                                                  try_points_arrays())
+    r, t = RESULT_INDEX[result], TRY_INDEX[tries]
+    return res_home[r] + try_home[t], res_away[r] + try_away[t]
+
+
 def test_result_classification_margin_boundaries():
     # the losing-bonus margin itself still counts as narrow
     assert classify_result(20, 13) is ResultOutcome.HOME_NARROW
@@ -108,27 +116,17 @@ def test_league_points_all_cells():
         (ResultOutcome.AWAY_WIDE, TryOutcome.BOTH_BONUS): (1, 5),
     }
     for (result, tries), want in expected.items():
-        assert league_points(result, tries) == want
-
-
-def test_points_arrays_agree_with_league_points():
-    res_home, res_away = result_points_arrays()
-    try_home, try_away = try_points_arrays()
-    for r, result in enumerate(RESULT_ORDER):
-        for t, tries in enumerate(TRY_ORDER):
-            home, away = league_points(result, tries)
-            assert res_home[r] + try_home[t] == home
-            assert res_away[r] + try_away[t] == away
+        assert cell_points(result, tries) == want
 
 
 def test_league_points_custom_system():
     points = PointsSystem(win_points=3, draw_points=1, loss_points=0)
-    assert league_points(ResultOutcome.HOME_WIDE, TryOutcome.ZERO_BONUS,
-                         points) == (3, 0)
-    assert league_points(ResultOutcome.DRAW, TryOutcome.ZERO_BONUS,
-                         points) == (1, 1)
-    assert league_points(ResultOutcome.AWAY_NARROW, TryOutcome.ZERO_BONUS,
-                         points) == (1, 3)
+    assert cell_points(ResultOutcome.HOME_WIDE, TryOutcome.ZERO_BONUS,
+                       points) == (3, 0)
+    assert cell_points(ResultOutcome.DRAW, TryOutcome.ZERO_BONUS,
+                       points) == (1, 1)
+    assert cell_points(ResultOutcome.AWAY_NARROW, TryOutcome.ZERO_BONUS,
+                       points) == (1, 3)
 
 
 def test_points_system_validation():
@@ -186,9 +184,9 @@ def test_override_must_be_narrow():
 
 def test_league_points_of_classified_matches():
     record = MatchRecord("A", "B", 31, 5, 4, 1)
-    assert league_points(*classify_match(record)) == (5, 0)
+    assert cell_points(*classify_match(record)) == (5, 0)
     narrow = MatchRecord("A", "B", 18, 22, 2, 4)
-    assert league_points(*classify_match(narrow)) == (1, 5)
+    assert cell_points(*classify_match(narrow)) == (1, 5)
 
 
 def _table(*matches) -> OutcomeCounts:
@@ -217,7 +215,7 @@ def test_outcome_counts_add_and_validate():
          TryOutcome.ZERO_BONUS),
         ("B", "C", Venue.NEUTRAL, ResultOutcome.AWAY_NARROW, None))
     assert counts.teams == ["A", "B", "C"]
-    assert counts.total_matches() == 3
+    assert counts.result.sum() == 3
     counts.validate()
     pair = counts.pairs[("A", "B", Venue.HOME_GROUND)]
     assert pair.result.sum() == 2 and pair.tries.sum() == 2
@@ -275,11 +273,11 @@ def _hand_season() -> list[MatchRecord]:
 
 
 def _records_match_by_match(matches, points):
-    """Playing records tallied one match at a time from league_points."""
+    """Playing records tallied one match at a time from cell_points."""
     rows = {}
     for match in matches:
         result, tries = classify_match(match, points)
-        both = league_points(result, tries, points)
+        both = cell_points(result, tries, points)
         for k, side in enumerate(("HOME", "AWAY")):
             other = "AWAY" if side == "HOME" else "HOME"
             row = rows.setdefault((match.home_team, match.away_team)[k],
@@ -291,7 +289,7 @@ def _records_match_by_match(matches, points):
             row[4] += tries is TryOutcome.BOTH_BONUS \
                 or tries.name.startswith(side)
             row[5] += result.name == f"{other}_NARROW"
-            row[6] += both[k]
+            row[6] += int(both[k])
     return {team: TeamRecord(team, *row) for team, row in sorted(rows.items())}
 
 
@@ -350,26 +348,19 @@ def test_outcome_counts_equal_the_scalar_classification(points):
         assert np.array_equal(counts.pairs[key].tries, tries), key
 
 
-def test_sufficient_stats_hand_computed():
-    stats = sufficient_stats(_hand_season())
-    # per-team points tallied by hand from the four matches above
-    assert stats.points == {"A": 5 + 2 + 1, "B": 0 + 2, "C": 5 + 2 + 4}
-    assert stats.narrow == 2  # the away narrow win and the override
-    assert stats.draws == 1
-    assert stats.both_bonus == 1
-    assert stats.zero_bonus == 1  # the draw; the override has no try outcome
-    # home points minus away points, neutral match excluded:
-    # (5-0) + (2-5) + (4-1) = 5
-    assert stats.home_edge == 5
-
-
-def test_sufficient_stats_zero_bonus_counts_exclude_overrides():
+def test_hand_season_points_and_outcome_totals():
     counts = outcome_counts(_hand_season())
+    # per-team points tallied by hand from the four matches above
+    assert {team: record.league_points
+            for team, record in team_records(counts).items()} == {
+        "A": 5 + 2 + 1, "B": 0 + 2, "C": 5 + 2 + 4}
+    result, tries = counts.result.sum(axis=0), counts.tries.sum(axis=0)
+    assert result[1] + result[3] == 2  # the away narrow win and the override
+    assert result[2] == 1
+    assert tries[0] == 1
+    assert tries[3] == 1  # the draw; the override has no try outcome
     # the override match contributes no try outcome at all
-    total_tries = sum(int(pc.tries.sum()) for pc in counts.pairs.values())
-    assert total_tries == 3
-    stats = sufficient_stats(_hand_season())
-    assert stats.zero_bonus == 1
+    assert tries.sum() == 3
 
 
 def test_outcome_counts_groups_by_venue():
@@ -413,7 +404,7 @@ def test_match_columns_read_back_as_the_records():
     assert all(type(value) is int for match in columns
                for value in dataclasses.astuple(match)[2:6])
     assert len(MatchColumns.of([])) == 0
-    assert outcome_counts([]).total_matches() == 0
+    assert outcome_counts([]).result.sum() == 0
 
 
 def test_enum_orders_are_stable():

@@ -28,6 +28,8 @@ from scrumrank.ingest import (
     write_audit_csv,
     write_cleaned_csv,
 )
+from scrumrank.rank import read_previous_ranks
+from scrumrank.simulate import parse_fixtures_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 HEADER = ",".join(EXPECTED_HEADER)
@@ -621,3 +623,22 @@ def test_column_cleaner_matches_the_per_row_cleaner(seed):
     assert any(r.reason.startswith("missing") for r in rejected)
     # and keeps near duplicates, overrides and blanks that R4 filled
     assert any(row.outcome_override for row in kept)
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (parse_fixtures_csv, "", "empty fixtures file: no header row"),
+    (parse_fixtures_csv, " home , away,venue\nA,B,\n",
+     "bad fixtures header 'home,away,venue'; "
+     "expected home_team,away_team,venue"),
+    (parse_fixtures_csv, "home_team,away_team,venue\nA,B,\nC,D\n",
+     "fixtures row 2: expected 3 cells, found 2"),
+    (read_previous_ranks, "", "empty previous-ranks file: no header row"),
+    (read_previous_ranks, "club,rank\nA,1\n",
+     "bad previous-ranks header 'club,rank'; expected team,previous_rank"),
+    (read_previous_ranks, "team,previous_rank\nA,1\nB,2,3\n",
+     "previous-ranks row 2: expected 2 cells, found 3"),
+])
+def test_small_csv_readers_word_their_errors_exactly(reader, text, message):
+    with pytest.raises(ValueError) as error:
+        reader(text)
+    assert str(error.value) == message

@@ -7,16 +7,14 @@ import pytest
 
 from scrumrank.cli import VARIANTS
 from scrumrank.domain import (
-    RESULT_ORDER,
-    TRY_ORDER,
     PointsSystem,
     Venue,
-    league_points,
+    result_points_arrays,
+    try_points_arrays,
 )
 from scrumrank.model import (
     DEFAULT_VARIANT,
     HomeModel,
-    OutcomeDistribution,
     ParameterError,
     Parameters,
     TryModel,
@@ -165,26 +163,17 @@ def test_stronger_home_team_shifts_mass_to_wide_win():
 def test_expected_points_matches_joint_enumeration():
     params = _params({"A": 1.6, "B": 0.7})
     dist = outcome_distribution(params, "A", "B")
-    joint = dist.joint()
+    res_home, res_away = result_points_arrays()
+    try_home, try_away = try_points_arrays()
     want_home = want_away = 0.0
-    for r, result in enumerate(RESULT_ORDER):
-        for t, tries in enumerate(TRY_ORDER):
-            home_pts, away_pts = league_points(result, tries)
-            want_home += joint[r, t] * home_pts
-            want_away += joint[r, t] * away_pts
+    for r in range(5):
+        for t in range(4):
+            joint = dist.result[r] * dist.tries[t]
+            want_home += joint * (res_home[r] + try_home[t])
+            want_away += joint * (res_away[r] + try_away[t])
     got_home, got_away = expected_points(params, "A", "B")
     assert abs(got_home - want_home) < 1e-12
     assert abs(got_away - want_away) < 1e-12
-
-
-def test_outcome_distribution_validate():
-    dist = OutcomeDistribution(result=np.array([0.5, 0.5, 0.0, 0.0, 0.0]),
-                               tries=np.array([0.25, 0.25, 0.25, 0.25]))
-    dist.validate()
-    bad = OutcomeDistribution(result=np.array([0.6, 0.5, 0.0, 0.0, 0.0]),
-                              tries=np.array([0.25, 0.25, 0.25, 0.25]))
-    with pytest.raises(ValueError):
-        bad.validate()
 
 
 def test_gauge_transform_preserves_all_joint_probabilities():
@@ -203,7 +192,9 @@ def test_gauge_transform_preserves_all_joint_probabilities():
         for venue in (Venue.HOME_GROUND, Venue.NEUTRAL):
             before = outcome_distribution(params, "A", "B", variant, venue)
             after = outcome_distribution(scaled, "A", "B", variant, venue)
-            assert np.allclose(before.joint(), after.joint(),
+            assert np.allclose(before.result, after.result,
+                               rtol=0, atol=1e-13)
+            assert np.allclose(before.tries, after.tries,
                                rtol=0, atol=1e-13)
 
 
@@ -252,6 +243,47 @@ def test_solve_scale_failure_modes():
         solve_scale([])
 
 
+def _mean_one_term_at_a_time(values, c=1.0):
+    """The generalized mean of c * values, summed one strength at a time
+    in Python: the reference for its array form."""
+    return sum(2.0 if math.isinf(v) else 2.0 * c * v / (1.0 + c * v)
+               for v in values) / len(values)
+
+
+def _solve_scale_one_term_at_a_time(values, rel_tol=1e-12):
+    """solve_scale's bisection over the reference mean."""
+    def mean_at(c):
+        return _mean_one_term_at_a_time(values, c)
+
+    lo = hi = 1.0
+    while mean_at(lo) >= 1.0:
+        lo /= 2.0
+    while mean_at(hi) <= 1.0:
+        hi *= 2.0
+    while hi - lo > rel_tol * lo:
+        mid = 0.5 * (lo + hi)
+        if mean_at(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_generalized_mean_and_scale_equal_the_term_by_term_sum():
+    rng = np.random.default_rng(619)
+    for trial in range(40):
+        values = np.exp(rng.normal(0, 2.0, int(rng.integers(2, 300))))
+        if trial % 4 == 0:
+            values[rng.integers(len(values))] = math.inf
+        if trial % 5 == 0:
+            values[rng.integers(len(values))] = 0.0
+        for scale in (1e-3, 1.0, 37.0, 1e5):
+            field = (values * scale).tolist()
+            assert generalized_mean(field) == _mean_one_term_at_a_time(field)
+            assert solve_scale(field) == \
+                _solve_scale_one_term_at_a_time(field)
+
+
 def test_normalize_parameters_reaches_unit_mean_and_keeps_probs():
     rng = np.random.default_rng(3111)
     for _ in range(20):
@@ -260,7 +292,8 @@ def test_normalize_parameters_reaches_unit_mean_and_keeps_probs():
         assert abs(generalized_mean(normalized.strengths) - 1.0) < 1e-10
         before = outcome_distribution(params, "A", "C")
         after = outcome_distribution(normalized, "A", "C")
-        assert np.allclose(before.joint(), after.joint(), atol=1e-13)
+        assert np.allclose(before.result, after.result, atol=1e-13)
+        assert np.allclose(before.tries, after.tries, atol=1e-13)
 
 
 def test_normalize_parameters_team_specific_uses_joint_pool():
@@ -353,7 +386,8 @@ def test_team_specific_home_model_uses_side_strengths():
     # kappa is ignored: the same fixture with kappa=1 is identical
     flat = dataclasses.replace(params, kappa=1.0)
     again = outcome_distribution(flat, "A", "B", variant)
-    assert np.allclose(dist.joint(), again.joint(), atol=0, rtol=0)
+    assert np.allclose(dist.result, again.result, atol=0, rtol=0)
+    assert np.allclose(dist.tries, again.tries, atol=0, rtol=0)
 
 
 def test_team_specific_fixtures_read_home_and_away_tables():
@@ -392,7 +426,9 @@ def test_fixture_sequences_match_single_fixtures_bit_for_bit():
                                   if h != a for v in Venue])
         dist = outcome_distribution(params, home, away, variant, venue)
         assert dist.result.shape == (5, len(home))
-        dist.validate()
+        for probs in (dist.result, dist.tries):
+            assert np.abs(probs.sum(axis=0) - 1.0).max() <= 1e-12
+            assert (probs >= 0).all()
         home_pts, away_pts = expected_points(params, home, away, variant,
                                              venue)
         for k in range(len(home)):
@@ -400,7 +436,6 @@ def test_fixture_sequences_match_single_fixtures_bit_for_bit():
                                        venue[k])
             assert np.array_equal(dist.result[:, k], one.result)
             assert np.array_equal(dist.tries[:, k], one.tries)
-            assert np.array_equal(dist.joint()[:, :, k], one.joint())
             single = expected_points(params, home[k], away[k], variant,
                                      venue[k])
             assert abs(home_pts[k] - single[0]) < 1e-14

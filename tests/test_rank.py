@@ -367,16 +367,6 @@ def test_table_csv_columns_and_flags():
     assert ",,2,1,0,1," in lines[2] or lines[2].split(",")[2] == ""
 
 
-def test_table_json_round_trips_values():
-    import json
-    records = {"A": _record("A")}
-    table = build_table({"A": 2.5}, records, min_matches=0)
-    doc = json.loads(table.to_json())
-    assert doc["method"] == "PPPM"
-    assert doc["rows"][0]["team"] == "A"
-    assert doc["rows"][0]["qualified"] is True
-
-
 def test_read_previous_ranks():
     ranks = read_previous_ranks((DATA / "prev_ranks.csv").read_text())
     assert ranks["Ashwood"] == 10
@@ -451,4 +441,4 @@ def test_compare_rankings_requires_a_common_ranked_team():
 def test_rank_row_qualified_property():
     row = RankRow(None, "A", 1.0, 3, 1, 1, 1, 7, 7 / 3)
     assert not row.qualified
-    assert RankingTable((row,), "LPPM", 5).rows[0].rank is None
+    assert RankingTable((row,)).rows[0].rank is None
