@@ -283,8 +283,11 @@ class OutcomeCounts:
 
     ``home`` and ``away`` index each row's sides into the sorted ``teams``,
     ``home_ground`` is False at a neutral ground, and ``result`` and
-    ``tries`` are the outcome counts, rows x 5 and rows x 4. The default
-    is the empty table; ``tabulate`` builds every other.
+    ``tries`` are the outcome counts, rows x 5 and rows x 4. A stack of
+    seasons played over the same fixture list shares the rows, and its
+    counts carry a leading replicate axis: replicates x rows x 5 and x 4;
+    only ``validate`` and ``estimate.fit_replicates`` read a stack. The
+    default is the empty table; ``tabulate`` builds every other.
     """
 
     teams: list[str] = field(default_factory=list)
@@ -301,7 +304,12 @@ class OutcomeCounts:
                  tries: Sequence[int]) -> "OutcomeCounts":
         """The table of a list of matches, given per match its sides, its
         home-ground flag, its RESULT_ORDER cell and its TRY_ORDER cell; a
-        try cell of -1 keeps the match out of the try counts."""
+        try cell of -1 keeps the match out of the try counts.
+
+        Cells given as replicates x matches arrays, one row per season of
+        the same matches, tabulate a stack: the rows are found once and
+        each season's cells are counted into its own tables.
+        """
         teams = sorted({*home, *away})
         index = {team: k for k, team in enumerate(teams)}
         sides = np.array([[index[team] for team in home],
@@ -314,15 +322,20 @@ class OutcomeCounts:
         keys, row = np.unique((sides[0] * len(teams) + sides[1]) * 2
                               + neutral, return_inverse=True)
         n = len(keys)
+        result = np.asarray(result, dtype=np.intp)
         tries = np.asarray(tries, dtype=np.intp)
+        stack = result.shape[:-1]  # () for one season
+        seasons = int(np.prod(stack))
+        # each match's row among every season's rows
+        row = np.arange(seasons).reshape(*stack, 1) * n + row
         counted = tries >= 0
         return cls(
             teams, keys // 2 // len(teams), keys // 2 % len(teams),
             keys % 2 == 0,
-            np.bincount(row * 5 + np.asarray(result, dtype=np.intp),
-                        minlength=n * 5).reshape(n, 5),
-            np.bincount(row[counted] * 4 + tries[counted],
-                        minlength=n * 4).reshape(n, 4))
+            np.bincount((row * 5 + result).ravel(),
+                        minlength=seasons * n * 5).reshape(*stack, n, 5),
+            np.bincount((row * 4 + tries)[counted],
+                        minlength=seasons * n * 4).reshape(*stack, n, 4))
 
     # no caller in the package; kept because perfbench/spans.py counts
     # the rows through it
@@ -332,11 +345,15 @@ class OutcomeCounts:
         return _PairView(self)
 
     def validate(self):
-        """Raise for the first bad row: self-play, a negative count, or
-        more try outcomes than matches, checked in that order."""
+        """Raise for the first bad row, in any season of a stack:
+        self-play, a negative count, or more try outcomes than matches,
+        checked in that order."""
+        stack = tuple(range(self.result.ndim - 2))  # a stack's replicates
         self_play = self.home == self.away
-        negative = (self.result < 0).any(axis=1) | (self.tries < 0).any(axis=1)
-        excess = self.tries.sum(axis=1) > self.result.sum(axis=1)
+        negative = ((self.result < 0).any(axis=-1)
+                    | (self.tries < 0).any(axis=-1)).any(axis=stack)
+        excess = (self.tries.sum(axis=-1)
+                  > self.result.sum(axis=-1)).any(axis=stack)
         bad = np.flatnonzero(self_play | negative | excess)
         if not bad.size:
             return

@@ -44,10 +44,17 @@ small dense solve per block, so the cost grows with the number of teams
 and the size of a level rather than with the cube of the parameter count.
 With one strength table, a double round robin has a single level beyond
 its first team and plans one block, which is one dense solve.
+
+A problem may hold a stack of outcome tables over the same pairs, such as
+the replicates of a recovery study. Layout and plan are then built once,
+and each replicate is ascended alone on a copy that shares them
+(``_Problem.replicate``), so its iterates are those of fitting its table
+alone.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -74,6 +81,7 @@ from .model import (
     _positive,
     log_cell_weights,
     normalize_parameters,
+    normalize_stack,
     parameter_layout,
     result_block,
     try_block,
@@ -248,7 +256,9 @@ class _Problem:
 
     The pairs are parallel arrays: home and away team indices and a home
     ground mask (1 at the home side's ground, 0 at a neutral one). Each
-    block comes with its observed cell counts, cells x pairs. ``x`` holds
+    block comes with its observed cell counts, cells x pairs, or
+    replicates x cells x pairs for a stack of tables over the same pairs,
+    whose replicates are evaluated through ``replicate``. ``x`` holds
     the log parameters in the layout's order: every per-team table in
     turn, less the pinned first entry, then the free structural levels.
     """
@@ -263,7 +273,7 @@ class _Problem:
         self.m = len(self.teams)
         self.w = float(prior_weight)
         self.i_idx, self.j_idx, self.home_mask = i_idx, j_idx, home_mask
-        self.block_data = [(block, obs, obs.sum(axis=0))
+        self.block_data = [(block, obs, obs.sum(axis=-2))
                            for block, obs in blocks]
         self.layout = ParameterLayout.of(variant, [b for b, _ in blocks])
         names = self.layout.structural
@@ -290,7 +300,8 @@ class _Problem:
     def from_counts(cls, teams, counts: OutcomeCounts, variant, prior_weight,
                     points, freeze=None, pin_first=False) -> "_Problem":
         """The result and try blocks over the table's pairs, with both
-        sides indexed into ``teams``.
+        sides indexed into ``teams``; a stack of tables gives one replicate
+        per table.
 
         A team of the table missing from ``teams`` raises ParameterError;
         the first one found, reading each pair's home side before its away
@@ -309,11 +320,18 @@ class _Problem:
                     "which is not in the team list")
             home, away = position[home], position[away]
         return cls(teams, home, away, counts.home_ground.astype(float),
-                   [(result_block(points),
-                     np.ascontiguousarray(counts.result.T, dtype=float)),
-                    (try_block(variant),
-                     np.ascontiguousarray(counts.tries.T, dtype=float))],
+                   [(result_block(points), _cells_by_pairs(counts.result)),
+                    (try_block(variant), _cells_by_pairs(counts.tries))],
                    variant, prior_weight, freeze, pin_first)
+
+    def replicate(self, r: int) -> "_Problem":
+        """The problem of table ``r`` of a stack alone. It shares this
+        problem's layout and Hessian plan, which is built here once."""
+        self._hessian_plan()
+        one = copy.copy(self)
+        one.block_data = [(block, obs[r], mvec[r])
+                          for block, obs, mvec in self.block_data]
+        return one
 
     # ---- parameter packing ----
 
@@ -567,6 +585,13 @@ class _Problem:
         return expected
 
 
+def _cells_by_pairs(counts: np.ndarray) -> np.ndarray:
+    """A table's counts, pairs x cells, as a contiguous cells x pairs float
+    array; a stack's, replicates x pairs x cells, as replicates x cells x
+    pairs."""
+    return np.ascontiguousarray(np.swapaxes(counts, -1, -2), dtype=float)
+
+
 def _full_problem(params: Parameters, counts: OutcomeCounts,
                   prior: PriorConfig, variant: VariantConfig,
                   points: PointsSystem) -> tuple[_Problem, np.ndarray]:
@@ -769,21 +794,15 @@ class FittedModel:
         )
 
 
-def _check_divergence(normalized: Parameters, variant: VariantConfig,
-                      records: Mapping[str, TeamRecord], prior_weight: float,
-                      iterations: int, grad_norm: float):
+def _divergence(normalized: Parameters, variant: VariantConfig
+                ) -> tuple[str, float] | None:
+    """The first team with a normalized table value past the divergence
+    limit, with that value; None when there is none."""
     for name in parameter_layout(variant).tables:
         for team, value in getattr(normalized, name).items():
             if abs(math.log(value)) > _DIVERGENCE_LOG_LIMIT:
-                diagnosis = _diagnose(records, prior_weight)
-                raise NonConvergenceError(
-                    f"strength estimates diverged (team {team!r} at "
-                    f"{value:.3g}); " + diagnosis,
-                    best=normalized,
-                    diagnosis=diagnosis,
-                    iterations=iterations,
-                    gradient_norm=grad_norm,
-                )
+                return team, value
+    return None
 
 
 def _gauge_broken(variant: VariantConfig,
@@ -794,6 +813,22 @@ def _gauge_broken(variant: VariantConfig,
                for name in parameter_layout(variant).structural)
 
 
+def _fit_problem(counts: OutcomeCounts, config: FitConfig) -> _Problem:
+    """The problem ``fit`` ascends, over the table's teams, or over a
+    stack's."""
+    counts.validate()
+    if len(counts.teams) < 2:
+        raise ParameterError("fitting needs at least two teams' matches")
+    w = config.prior.weight
+    # with no prior the likelihood is scale-invariant and one strength must
+    # be pinned, unless a frozen scale-absorbing parameter already fixed it
+    pin = w == 0.0 and not _gauge_broken(config.variant, config.freeze)
+    return _Problem.from_counts(
+        counts.teams, counts, config.variant, w, config.points_system,
+        freeze=config.freeze, pin_first=pin,
+    )
+
+
 def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
     """Fit the model to an outcome table.
 
@@ -802,18 +837,8 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
     a strength estimate runs away; the error carries the best iterate and
     a diagnosis.
     """
-    counts.validate()
-    teams = counts.teams
-    if len(teams) < 2:
-        raise ParameterError("fitting needs at least two teams' matches")
+    problem = _fit_problem(counts, config)
     w = config.prior.weight
-    # with no prior the likelihood is scale-invariant and one strength must
-    # be pinned, unless a frozen scale-absorbing parameter already fixed it
-    pin = w == 0.0 and not _gauge_broken(config.variant, config.freeze)
-    problem = _Problem.from_counts(
-        teams, counts, config.variant, w, config.points_system,
-        freeze=config.freeze, pin_first=pin,
-    )
     result = minimize(problem, np.zeros(problem.n_free),
                       config.gradient_tolerance, config.max_iterations)
     nit, grad_inf = result.nit, result.grad_inf
@@ -828,7 +853,15 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
             gradient_norm=grad_inf,
         )
     normalized = normalize_parameters(raw, config.variant)
-    _check_divergence(normalized, config.variant, records, w, nit, grad_inf)
+    diverged = _divergence(normalized, config.variant)
+    if diverged is not None:
+        team, value = diverged
+        diagnosis = _diagnose(records, w)
+        raise NonConvergenceError(
+            f"strength estimates diverged (team {team!r} at {value:.3g}); "
+            + diagnosis, best=normalized, diagnosis=diagnosis,
+            iterations=nit, gradient_norm=grad_inf,
+        )
     # each strength table's notional prior matches earn the team w points
     prior_points = w * len(problem.layout.strength_tables)
     expected = problem.expected_totals(result.x)
@@ -850,3 +883,31 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
         report=report,
     )
 
+
+def fit_replicates(counts: OutcomeCounts,
+                   config: FitConfig = FitConfig()
+                   ) -> list[Parameters | None]:
+    """The reported parameters of every table of a stack.
+
+    ``counts`` is a stack of tables over the same rows, as
+    ``simulate_season`` samples it for a list of replicates. Each entry
+    equals ``fit(table, config).parameters`` for its own table, and is
+    None where that fit raises NonConvergenceError. The problem and its
+    Hessian plan are built once, nothing else of a fitted model is built,
+    and every gauge scale comes from one bisection.
+    """
+    stack = _fit_problem(counts, config)
+    x0 = np.zeros(stack.n_free)
+    raws = []
+    for r in range(len(counts.result)):
+        problem = stack.replicate(r)
+        result = minimize(problem, x0, config.gradient_tolerance,
+                          config.max_iterations)
+        raws.append(problem.x_to_parameters(result.x)
+                    if result.converged else None)
+    normalized = iter(normalize_stack([raw for raw in raws if raw is not None],
+                                      config.variant))
+    estimates = [None if raw is None else next(normalized) for raw in raws]
+    return [None if estimate is None
+            or _divergence(estimate, config.variant) is not None
+            else estimate for estimate in estimates]

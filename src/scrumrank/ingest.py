@@ -32,7 +32,7 @@ import csv
 import io
 import itertools
 from collections import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -464,21 +464,6 @@ def clean(rows: Iterable[RawMatchRow]) -> CleanResult:
         actions=tuple(action for _, _, action in events),
         rejected=tuple(RejectedRow(k + 1, reason) for k, reason in rejected),
         rows=cleaned)
-
-
-def replay_actions(rows: Iterable[RawMatchRow],
-                   actions: Iterable[CleaningAction]) -> list[RawMatchRow]:
-    """Apply an audit log's after-values back onto raw rows."""
-    out = [replace(row) for row in rows]
-    for action in actions:
-        row = out[action.row - 1]
-        for change in action.changes:
-            if change.field in _INT_FIELDS:
-                value = None if change.after == "" else int(change.after)
-            else:
-                value = change.after
-            setattr(row, change.field, value)
-    return out
 
 
 def write_cleaned_csv(rows: Iterable[RawMatchRow]) -> str:

@@ -59,8 +59,6 @@ import numpy as np
 
 from .domain import (
     DEFAULT_POINTS,
-    RESULT_ORDER,
-    TRY_ORDER,
     PointsSystem,
     Venue,
     json_object,
@@ -223,7 +221,6 @@ class OutcomeBlock:
     log defensive strengths (offensive-defensive try block only).
     """
 
-    outcomes: tuple
     home_points: np.ndarray
     away_points: np.ndarray
     structural: Mapping[str, np.ndarray]
@@ -241,7 +238,7 @@ def result_block(points: PointsSystem = DEFAULT_POINTS) -> OutcomeBlock:
         "rho_n": np.array([0.0, 1.0, 0.0, 1.0, 0.0]),
         "rho_d": np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
     }
-    return OutcomeBlock(RESULT_ORDER, home, away, structural, home - away)
+    return OutcomeBlock(home, away, structural, home - away)
 
 
 @lru_cache(maxsize=None)
@@ -254,16 +251,16 @@ def try_block(variant: VariantConfig = DEFAULT_VARIANT) -> OutcomeBlock:
             "tau_b": np.array([1.0, 0.0, 0.0, 0.0]),
             "tau_z": np.array([0.0, 0.0, 0.0, 1.0]),
         }
-        return OutcomeBlock(TRY_ORDER, home, away, structural, kappa_exp)
+        return OutcomeBlock(home, away, structural, kappa_exp)
     if variant.try_model is TryModel.OPPOSITION_INDEPENDENT:
         # Independent per-side coin flips: bonus weight tau * pi (times
         # kappa or 1/kappa), no-bonus weight 1. The four-cell form below is
         # the product of the two per-side normalizations.
         structural = {"tau": home + away}
-        return OutcomeBlock(TRY_ORDER, home, away, structural, kappa_exp)
+        return OutcomeBlock(home, away, structural, kappa_exp)
     # Offensive-defensive: both-bonus weight pi_i pi_j / (delta_i delta_j),
     # single-bonus weights pi, zero-bonus weight delta_i delta_j.
-    return OutcomeBlock(TRY_ORDER, home, away, {}, kappa_exp,
+    return OutcomeBlock(home, away, {}, kappa_exp,
                         defence_exp=1.0 - home - away)
 
 
@@ -596,18 +593,73 @@ def generalized_mean(strengths) -> float:
     teams: each term lies in [0, 2), with an unbounded strength contributing
     exactly 2.
     """
-    values = np.array(_strength_values(strengths))
-    return _generalized_mean(values, np.isinf(values))
-
-
-def _generalized_mean(values: np.ndarray, unbounded: np.ndarray,
-                      c: float = 1.0) -> float:
-    """Mean of 2 w / (1 + w) over w = c * values, with 2 where
-    ``unbounded``; the terms are summed left to right as Python floats."""
+    values = np.array([_strength_values(strengths)])
     with np.errstate(over="ignore", invalid="ignore"):
-        w = c * values
-        terms = np.where(unbounded, 2.0, 2.0 * w / (1.0 + w))
-    return sum(terms.tolist()) / len(terms)
+        return _generalized_means(values, np.isinf(values))[0]
+
+
+def _generalized_means(values: np.ndarray, unbounded: np.ndarray | None,
+                       c=1.0) -> list[float]:
+    """Mean of 2 w / (1 + w) along each row of w = c * values, a
+    fields x strengths array, with 2 where ``unbounded`` (None: nowhere).
+    Each row's terms are added by the builtin ``sum`` as Python floats."""
+    w = c * values
+    terms = 2.0 * w / (1.0 + w)
+    if unbounded is not None:
+        terms[unbounded] = 2.0
+    n = terms.shape[1]
+    return [sum(row) / n for row in terms.tolist()]
+
+
+def _solve_scales(values: np.ndarray, rel_tol: float = 1e-12
+                  ) -> list[float]:
+    """``solve_scale`` for each row of a fields x strengths array.
+
+    One generalized mean per step covers every row, while each row keeps
+    its own bracket as Python floats and stops moving once it has found
+    its bracket or its root, so each scale is the one its field finds
+    alone.
+    """
+    unbounded = np.isinf(values)
+    if not unbounded.any():
+        unbounded = None
+
+    def means(c: list[float]) -> list[float]:
+        return _generalized_means(values, unbounded, np.array(c)[:, None])
+
+    lo, hi = [1.0] * len(values), [1.0] * len(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2200):
+            moving = [k for k, mean in enumerate(means(lo)) if not mean < 1.0]
+            if not moving:
+                break
+            for k in moving:
+                lo[k] /= 2.0
+        else:
+            raise ValueError("no positive scale achieves a generalized mean "
+                             "of 1; too many unbounded strengths")
+        for _ in range(2200):
+            moving = [k for k, mean in enumerate(means(hi)) if not mean > 1.0]
+            if not moving:
+                break
+            for k in moving:
+                hi[k] *= 2.0
+        else:
+            raise ValueError("no positive scale achieves a generalized mean "
+                             "of 1; strengths are all zero or vanishing")
+        while True:
+            wide = [k for k, (a, b) in enumerate(zip(lo, hi))
+                    if b - a > rel_tol * a]
+            if not wide:
+                break
+            mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+            mean = means(mid)
+            for k in wide:
+                if mean[k] < 1.0:
+                    lo[k] = mid[k]
+                else:
+                    hi[k] = mid[k]
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
 def solve_scale(strengths, rel_tol: float = 1e-12) -> float:
@@ -617,37 +669,29 @@ def solve_scale(strengths, rel_tol: float = 1e-12) -> float:
     share of unbounded strengths), so bisection on an expanding bracket
     finds the unique root when one exists.
     """
-    values = np.array(_strength_values(strengths))
-    unbounded = np.isinf(values)
-    lo = hi = 1.0
-    for _ in range(2200):
-        if _generalized_mean(values, unbounded, lo) < 1.0:
-            break
-        lo /= 2.0
-    else:
-        raise ValueError("no positive scale achieves a generalized mean of 1; "
-                         "too many unbounded strengths")
-    for _ in range(2200):
-        if _generalized_mean(values, unbounded, hi) > 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("no positive scale achieves a generalized mean of 1; "
-                         "strengths are all zero or vanishing")
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if _generalized_mean(values, unbounded, mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    values = np.array([_strength_values(strengths)])
+    return _solve_scales(values, rel_tol)[0]
 
 
 def normalize_parameters(params: Parameters,
                          variant: VariantConfig = DEFAULT_VARIANT) -> Parameters:
     """Gauge-rescale so the generalized mean of the strengths, over every
     strength table of the variant pooled, is 1."""
-    pool = [value for name in parameter_layout(variant).strength_tables
-            for value in getattr(params, name).values()]
-    return gauge_transform(params, solve_scale(pool), variant)
+    (normalized,) = normalize_stack([params], variant)
+    return normalized
 
+
+def normalize_stack(stack: Sequence[Parameters],
+                    variant: VariantConfig = DEFAULT_VARIANT
+                    ) -> list[Parameters]:
+    """``normalize_parameters`` of each parameter set of a stack over the
+    same teams, with every gauge scale from one bisection."""
+    if not stack:
+        return []
+    tables = parameter_layout(variant).strength_tables
+    pools = np.array([
+        _strength_values([value for name in tables
+                          for value in getattr(params, name).values()])
+        for params in stack])
+    return [gauge_transform(params, c, variant)
+            for params, c in zip(stack, _solve_scales(pools))]

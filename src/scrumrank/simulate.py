@@ -16,9 +16,17 @@ policy for random streams (NEP 19) keeps SeedSequence and Philox streams
 fixed across releases, so the two agree on every NumPy version;
 ``tests/test_simulate.py`` pins them to each other with ``==``.
 
+Every replicate of a study plays the same fixtures, so a list of
+replicates is sampled as one stack: one model call gives the
+probabilities, ``_fixture_uniforms`` draws every replicate's uniforms at
+once, and ``OutcomeCounts.tabulate`` finds the fixture list's rows once
+and counts each replicate's cells into its own table.
+
 The recovery study closes the loop: simulate seasons at known parameters,
-refit each one, and report how well the structural parameters and the
-strength ordering come back.
+refit each one over one shared problem (``estimate.fit_replicates``), and
+report how well the structural parameters and the strength ordering come
+back. Each replicate's estimates, and so its report rows, are those
+a ``fit`` of its own season gives.
 """
 
 from __future__ import annotations
@@ -43,7 +51,9 @@ from .domain import (
     TryOutcome,
     Venue,
 )
-from .estimate import FitConfig, NonConvergenceError, fit
+# fit is not called here; it stays importable as simulate.fit, a name
+# the benchmark's tracer wraps
+from .estimate import FitConfig, fit, fit_replicates  # noqa: F401
 from .ingest import small_csv_rows
 from .model import (
     DEFAULT_VARIANT,
@@ -152,20 +162,41 @@ def _mulhilo64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a * b, high
 
 
-def _fixture_uniforms(seed: int, replicate: int, n: int) -> np.ndarray:
+def _fixture_uniforms(seed: int, replicate: int | Sequence[int],
+                      n: int) -> np.ndarray:
     """The first two ``random()`` draws of ``fixture_rng(seed, replicate,
-    i)`` for every fixture index i < n, bit for bit, as a 2 x n array.
+    i)`` for every fixture index i < n, bit for bit, as a 2 x n array; for
+    a sequence of replicates, a 2 x replicates x n array.
 
     SeedSequence hashes its words (the seed, zero-padded to the pool size,
     then the replicate and the fixture index) into a four-word pool, with
     hash constants that do not depend on the data. So everything but the
-    fixture index is mixed once per season. The pool gives Philox its
-    two-word key; a fresh generator's first output is one Philox4x64-10
-    block on counter (1, 0, 0, 0), and its first two words become doubles
-    as ``(word >> 11) * 2**-53``.
+    replicate and the fixture index is mixed once, and replicates whose
+    numbers take the same count of words are mixed as one array. The pool
+    gives Philox its two-word key; a fresh generator's first output is one
+    Philox4x64-10 block on counter (1, 0, 0, 0), and its first two words
+    become doubles as ``(word >> 11) * 2**-53``.
     """
     seed_words = _uint32_words(seed)
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    if np.ndim(replicate) == 0:
+        return _stream_uniforms(seed_words, _uint32_words(replicate), n)
+    words = [_uint32_words(r) for r in replicate]
+    uniforms = np.empty((2, len(words), n))
+    for width in set(map(len, words)):
+        group = [k for k, w in enumerate(words) if len(w) == width]
+        # one column of words per word position, one row per replicate
+        columns = np.array([words[k] for k in group], dtype=np.uint32).T
+        uniforms[:, group] = _stream_uniforms(seed_words,
+                                              list(columns[:, :, None]), n)
+    return uniforms
+
+
+def _stream_uniforms(seed_words: list[int], replicate_words: list,
+                     n: int) -> np.ndarray:
+    """``_fixture_uniforms`` for one replicate's words (ints), or for a
+    group's words (replicates x 1 uint32 columns), shaped 2 x n or
+    2 x replicates x n."""
+    seed_words = seed_words + [0] * (_POOL_SIZE - len(seed_words))
     const = _INIT_A
     pool = []
     for word in seed_words[:_POOL_SIZE]:
@@ -177,7 +208,7 @@ def _fixture_uniforms(seed: int, replicate: int, n: int) -> np.ndarray:
                 mixed, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], mixed)
     # fixture indices below 2**32 are one word each
-    tail = (seed_words[_POOL_SIZE:] + _uint32_words(replicate)
+    tail = (seed_words[_POOL_SIZE:] + replicate_words
             + [np.arange(n, dtype=np.uint32)])
     for word in tail:
         for dst in range(_POOL_SIZE):
@@ -187,26 +218,31 @@ def _fixture_uniforms(seed: int, replicate: int, n: int) -> np.ndarray:
     state = []
     for word in pool:
         word, const = _hashmix(word, const, _MULT_B)
-        state.append(word.astype(np.uint64))
+        state.append(word.astype(np.uint64).ravel())
+    shape = np.shape(pool[0])
     key = np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32])
     # a round maps counter words (c0, c1, c2, c3) to (hi(c2 M1) ^ c1 ^ k0,
     # lo(c2 M1), hi(c0 M0) ^ c3 ^ k1, lo(c0 M0)); even holds (c0, c2) and
     # odd holds (c1, c3)
-    even = np.zeros((2, n), dtype=np.uint64)
+    even = np.zeros(key.shape, dtype=np.uint64)
     even[0] = 1
-    odd = np.zeros((2, n), dtype=np.uint64)
+    odd = np.zeros(key.shape, dtype=np.uint64)
     for round_index in range(_PHILOX_ROUNDS):
         if round_index:
             key += _PHILOX_W
         lo, hi = _mulhilo64(even, _PHILOX_M)
         even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
-    return (np.stack([even[0], odd[0]]) >> 11) * 2.0 ** -53
+    return ((np.stack([even[0], odd[0]]) >> 11) * 2.0 ** -53).reshape(
+        2, *shape)
 
 
 def _inverse_cdf(probs: np.ndarray, u) -> np.ndarray:
     """Cell drawn by each uniform: the count of each column's categorical
-    CDF values at or below it, capped at the last cell."""
+    CDF values at or below it, capped at the last cell. ``u`` has the
+    columns' shape, or a leading replicate axis before it."""
     cdf = np.cumsum(probs, axis=0)
+    cdf = cdf.reshape(len(cdf), *(1,) * (np.ndim(u) - cdf.ndim + 1),
+                      *cdf.shape[1:])
     return np.minimum((cdf <= u).sum(axis=0), len(probs) - 1)
 
 
@@ -225,7 +261,7 @@ def sample_match(params: Parameters, fixture: Fixture,
 
 
 def simulate_season(params: Parameters, fixtures: Sequence[Fixture],
-                    seed: int, replicate: int = 0,
+                    seed: int, replicate: int | Sequence[int] = 0,
                     variant: VariantConfig = DEFAULT_VARIANT,
                     points: PointsSystem = DEFAULT_POINTS) -> OutcomeCounts:
     """Sample every fixture once and tabulate the outcomes.
@@ -233,6 +269,9 @@ def simulate_season(params: Parameters, fixtures: Sequence[Fixture],
     One model call gives the whole season's probabilities, and each
     fixture's two uniforms are those of its own stream, so every draw
     equals ``sample_match`` with ``fixture_rng(seed, replicate, index)``.
+    For a sequence of replicates, every replicate's season is drawn from
+    the same probabilities and the result is their stack of tables (see
+    ``OutcomeCounts``), each equal to that replicate's own season.
     """
     home = [f.home_team for f in fixtures]
     away = [f.away_team for f in fixtures]
@@ -391,20 +430,18 @@ def recovery_study(truth: Parameters, fixtures: Sequence[Fixture],
     truth_orders = [np.array([table[t] for t in teams])
                     for table in truth_tables]
     tie_width = _TIE_TOLERANCES * fit_config.gradient_tolerance
+    counts = simulate_season(truth, fixtures, seed, range(replicates),
+                             variant, fit_config.points_system)
     results: list[ReplicateResult] = []
-    for replicate in range(replicates):
-        counts = simulate_season(truth, fixtures, seed, replicate,
-                                 variant, fit_config.points_system)
-        try:
-            fitted = fit(counts, fit_config)
-        except NonConvergenceError:
+    for replicate, fitted in enumerate(fit_replicates(counts, fit_config)):
+        if fitted is None:
             results.append(ReplicateResult(replicate, False, None, None,
                                            False))
             continue
-        estimates = _structural_values(fitted.parameters, variant)
+        estimates = _structural_values(fitted, variant)
         rhos = []
         for name, truth_order in zip(tables, truth_orders):
-            est_strengths = getattr(fitted.parameters, name)
+            est_strengths = getattr(fitted, name)
             est_logs = np.log([est_strengths[t] for t in teams])
             rhos.append(spearman(truth_order,
                                  _merge_ties(est_logs, tie_width)))

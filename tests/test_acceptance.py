@@ -139,7 +139,6 @@ def test_criterion_04_entropy_maximizer_agrees_with_mle():
         probs = step
 
     binary = OutcomeBlock(
-        outcomes=("home_win", "away_win"),
         home_points=np.array([1.0, 0.0]),
         away_points=np.array([0.0, 1.0]),
         structural={},

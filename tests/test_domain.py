@@ -245,10 +245,17 @@ def test_outcome_counts_validate_names_the_first_bad_pair():
     counts = _table(*((home, away, Venue.HOME_GROUND, ResultOutcome.DRAW,
                        TryOutcome.ZERO_BONUS)
                       for home, away in (("A", "B"), ("C", "D"), ("E", "F"))))
+    good = counts
     counts = _bumped(counts, "tries", ("E", "F", Venue.HOME_GROUND), 0, 1)
     counts = _bumped(counts, "tries", ("C", "D", Venue.HOME_GROUND), 1, 1)
     with pytest.raises(ValueError, match="'C' vs 'D'"):
         counts.validate()
+    # a stack of seasons over the same rows: a bad row in any season counts
+    stack = dataclasses.replace(
+        good, result=np.stack([good.result, counts.result]),
+        tries=np.stack([good.tries, counts.tries]))
+    with pytest.raises(ValueError, match="'C' vs 'D'"):
+        stack.validate()
     # a negative count before both excess pairs is reported first
     counts = _bumped(counts, "result", ("A", "B", Venue.HOME_GROUND), 0, -2)
     with pytest.raises(ValueError, match="non-negative"):

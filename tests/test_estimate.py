@@ -24,7 +24,9 @@ from scrumrank.estimate import (
     _log_normalizer,
     _Problem,
     fit,
+    fit_replicates,
     log_likelihood,
+    minimize,
     score,
 )
 from scrumrank.ingest import load_matches
@@ -538,6 +540,96 @@ def test_problem_names_the_first_team_missing_from_the_list(dropped):
                        match=re.escape(f"counts mention {first!r}")):
         _Problem.from_counts([t for t in teams if t not in gone], counts,
                              DEFAULT_VARIANT, 0.0, DEFAULT_POINTS)
+
+
+def _stack_of_seasons(teams: int, fixture_repeats: int, replicates: int
+                      ) -> OutcomeCounts:
+    """A stack of double round robin seasons at seed 1."""
+    names = [f"S{k:02d}" for k in range(teams)]
+    rng = np.random.default_rng(1)
+    truth = Parameters(
+        strengths={t: float(np.exp(rng.normal(0, 0.6))) for t in names},
+        rho_n=0.448, rho_d=0.212, tau_b=0.042, tau_z=2.801, kappa=1.113)
+    return simulate_season(truth, double_round_robin(names) * fixture_repeats,
+                           seed=1, replicate=range(replicates))
+
+
+def _with_special_seasons(counts: OutcomeCounts) -> OutcomeCounts:
+    """The stack with two more seasons: one where the first team wins every
+    match wide, always alone with a try bonus, and one without try
+    outcomes, whose try propensities are unidentified, so its Hessian has
+    a singular block."""
+    result = np.concatenate([counts.result, counts.result[:2]])
+    tries = np.concatenate([counts.tries, counts.tries[:2]])
+    for side, result_cell, try_cell in ((counts.home, 0, 1),
+                                        (counts.away, 4, 2)):
+        won = side == 0
+        played = result[-2, won].sum(axis=1)
+        result[-2, won] = tries[-2, won] = 0
+        result[-2, won, result_cell] = tries[-2, won, try_cell] = played
+    tries[-1] = 0
+    return dataclasses.replace(counts, result=result, tries=tries)
+
+
+def _season(counts: OutcomeCounts, replicate: int) -> OutcomeCounts:
+    return dataclasses.replace(counts, result=counts.result[replicate],
+                               tries=counts.tries[replicate])
+
+
+@pytest.mark.parametrize("stack, weight, maxiter", [
+    # 20 teams, prior weight 1: replicate 6 takes 23 steps, the rest 6-8
+    (lambda: _with_special_seasons(_stack_of_seasons(20, 1, 20)), 1.0, 500),
+    # 8 teams, no prior: the seasons at a structural boundary take 22
+    # steps, and the undefeated team's season runs its strengths away;
+    # with a budget of 21 steps those fail
+    (lambda: _with_special_seasons(_stack_of_seasons(8, 2, 6)), 0.0, 21),
+], ids=["prior-1", "no-prior"])
+def test_replicate_ascents_match_solo_ascents(stack, weight, maxiter):
+    counts = stack()
+
+    def problem(table):
+        return _Problem.from_counts(table.teams, table, DEFAULT_VARIANT,
+                                    weight, DEFAULT_POINTS,
+                                    pin_first=weight == 0.0)
+
+    stacked = problem(counts)
+    results = []
+    for replicate in range(len(counts.result)):
+        one = stacked.replicate(replicate)
+        assert one._hessian_plan() is stacked._hessian_plan()
+        got = minimize(one, np.zeros(one.n_free), 1e-8, maxiter)
+        solo = problem(_season(counts, replicate))
+        want = minimize(solo, np.zeros(solo.n_free), 1e-8, maxiter)
+        assert np.array_equal(got.x, want.x), replicate
+        assert (got.value, got.grad_inf, got.nit, got.nfev, got.converged,
+                got.message) == (want.value, want.grad_inf, want.nit,
+                                 want.nfev, want.converged, want.message)
+        results.append(got)
+    messages = [r.message for r in results]
+    # the season without try outcomes stops at its singular block alone
+    assert messages[-1] == "singular Hessian"
+    assert messages.count("singular Hessian") == 1
+    steps = [r.nit for r in results]
+    assert min(steps) <= 8 and max(steps) >= 20
+    assert any(r.converged for r in results if r.nit >= 20) == (weight > 0.0)
+    assert not results[-2].converged or weight > 0.0
+
+
+def test_fit_replicates_equals_each_fit():
+    counts = _with_special_seasons(_stack_of_seasons(8, 2, 4))
+    config = FitConfig(prior=PriorConfig(weight=0.0))
+    estimates = fit_replicates(counts, config)
+    assert len(estimates) == len(counts.result)
+    for replicate, estimate in enumerate(estimates):
+        try:
+            want = fit(_season(counts, replicate), config).parameters
+        except NonConvergenceError:
+            want = None
+        assert estimate == want, replicate
+    # the undefeated team's strengths run away, and the singular season
+    # stops: both are failed fits
+    assert estimates[-2] is None and estimates[-1] is None
+    assert all(estimate is not None for estimate in estimates[:-2])
 
 
 def test_fit_calls_the_newton_solver_once(monkeypatch):

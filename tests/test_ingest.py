@@ -24,7 +24,6 @@ from scrumrank.ingest import (
     clean,
     load_matches,
     parse_csv,
-    replay_actions,
     write_audit_csv,
     write_cleaned_csv,
 )
@@ -33,6 +32,21 @@ from scrumrank.simulate import parse_fixtures_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 HEADER = ",".join(EXPECTED_HEADER)
+
+
+def replay_actions(rows, actions):
+    """Apply an audit log's after-values back onto raw rows: the oracle
+    the cleaned rows are checked against."""
+    out = [dataclasses.replace(row) for row in rows]
+    for action in actions:
+        row = out[action.row - 1]
+        for change in action.changes:
+            value = change.after
+            if change.field in ("home_score", "away_score", "home_tries",
+                                "away_tries"):
+                value = None if value == "" else int(value)
+            setattr(row, change.field, value)
+    return out
 
 
 def _text(*rows: str) -> str:

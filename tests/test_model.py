@@ -25,6 +25,7 @@ from scrumrank.model import (
     interpret_structural,
     log_cell_weights,
     normalize_parameters,
+    normalize_stack,
     outcome_distribution,
     parameter_layout,
     result_block,
@@ -282,6 +283,27 @@ def test_generalized_mean_and_scale_equal_the_term_by_term_sum():
             assert generalized_mean(field) == _mean_one_term_at_a_time(field)
             assert solve_scale(field) == \
                 _solve_scale_one_term_at_a_time(field)
+
+
+def test_normalize_stack_equals_each_normalization():
+    rng = np.random.default_rng(620)
+    teams = [f"T{k}" for k in range(12)]
+    for variant in VARIANTS.values():
+        layout = parameter_layout(variant)
+        stack = []
+        for trial in range(9):
+            scale = float(np.exp(rng.normal(0, 3.0)))
+            tables = {name: {t: scale * float(np.exp(rng.normal(0, 1.5)))
+                             for t in teams} for name in layout.tables}
+            if trial % 3 == 0:  # one unbounded strength
+                tables[layout.home]["T0"] = math.inf
+            levels = {name: float(np.exp(rng.normal()))
+                      for name in layout.structural}
+            stack.append(dataclasses.replace(
+                Parameters(strengths={}), **{**tables, **levels}))
+        assert normalize_stack(stack, variant) == [
+            normalize_parameters(params, variant) for params in stack]
+    assert normalize_stack([], DEFAULT_VARIANT) == []
 
 
 def test_normalize_parameters_reaches_unit_mean_and_keeps_probs():

@@ -1,6 +1,5 @@
 import importlib.util
 import pathlib
-import types
 import warnings
 
 import numpy as np
@@ -243,6 +242,40 @@ def test_simulate_season_equals_per_fixture_sample_match_draws():
         assert _counts_equal(counts, tally), name
 
 
+@pytest.mark.parametrize("seed", [0, 17, 2**32 + 5])
+def test_stacked_seasons_equal_each_replicates_season(seed):
+    # one model call and one tally serve every replicate, and each
+    # replicate's table must be the one its own season gives
+    rng = np.random.default_rng(seed % 1000)
+    teams = ["A", "B", "C", "D", "E"]
+
+    def draw(scale):
+        return {t: float(np.exp(rng.normal(0, scale))) for t in teams}
+
+    params = Parameters(
+        strengths=draw(0.7), kappa=1.113, **REFERENCE_MEANS,
+        tau=0.3, delta=draw(0.5), home_strengths=draw(0.7),
+        away_strengths=draw(0.7))
+    fixtures = [Fixture(f.home_team, f.away_team,
+                        Venue.NEUTRAL if k % 4 == 1 else Venue.HOME_GROUND)
+                for k, f in enumerate(double_round_robin(teams) * 2)]
+    # replicates of one and of two 32-bit words
+    replicates = [0, 3, 2**32 + 1, 1, 2**33]
+    for name, variant in VARIANTS.items():
+        stack = simulate_season(params, fixtures, seed, replicates, variant)
+        stack.validate()
+        assert stack.result.shape[0] == stack.tries.shape[0] == 5
+        for k, replicate in enumerate(replicates):
+            alone = simulate_season(params, fixtures, seed, replicate,
+                                    variant)
+            assert stack.teams == alone.teams
+            for column in ("home", "away", "home_ground"):
+                assert np.array_equal(getattr(stack, column),
+                                      getattr(alone, column))
+            assert np.array_equal(stack.result[k], alone.result), name
+            assert np.array_equal(stack.tries[k], alone.tries), name
+
+
 def test_golden_season_regenerates_byte_for_byte():
     path = DATA / "generate_golden.py"
     spec = importlib.util.spec_from_file_location("generate_golden", path)
@@ -300,8 +333,8 @@ def test_recovery_spearman_ranks_near_equal_estimates_as_ties(monkeypatch):
     truth = _params({"A": 1.0, "B": 0.9, "C": 2.0})
     # A and B differ by fit noise only: without ties A would rank above B
     estimate = _params({"A": 1.0 * (1 + 1e-12), "B": 1.0, "C": 2.0})
-    monkeypatch.setattr(simulate, "fit", lambda counts, config:
-                        types.SimpleNamespace(parameters=estimate))
+    monkeypatch.setattr(simulate, "fit_replicates",
+                        lambda counts, config: [estimate])
     study = recovery_study(truth, double_round_robin(["A", "B", "C"]),
                            replicates=1, seed=3)
     (result,) = study.results
@@ -365,8 +398,8 @@ def test_recovery_scores_every_strength_table(monkeypatch):
     truth = team_specific([0.6, 0.9, 1.1, 1.7])
 
     def scored(estimate):
-        monkeypatch.setattr(simulate, "fit", lambda counts, config:
-                            types.SimpleNamespace(parameters=estimate))
+        monkeypatch.setattr(simulate, "fit_replicates",
+                            lambda counts, config: [estimate])
         (result,) = recovery_study(
             truth, double_round_robin(teams), replicates=1, seed=3,
             fit_config=FitConfig(variant=VARIANTS["team-specific"])).results
