@@ -26,6 +26,8 @@ from .domain import (
     outcome_counts,
 )
 from .estimate import (
+    GRADIENT_TOLERANCE,
+    MAX_ITERATIONS,
     FitConfig,
     FittedModel,
     NonConvergenceError,
@@ -217,8 +219,8 @@ def _cmd_fit(args, argv) -> int:
                         "variant": args.variant,
                         "prior_weight": args.prior_weight,
                         "freeze": freeze,
-                        "gradient_tolerance": config.gradient_tolerance,
-                        "max_iterations": config.max_iterations,
+                        "gradient_tolerance": GRADIENT_TOLERANCE,
+                        "max_iterations": MAX_ITERATIONS,
                     }})
     _print_fit_summary(model)
     return 0

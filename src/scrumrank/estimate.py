@@ -2,14 +2,17 @@
 
 The likelihood factorizes over ordered (home, away, venue) triples, and
 each triple's result and try blocks are independently normalized
-categorical distributions whose log cell weights are linear in the log
-parameters. The gradient in log space is therefore observed minus expected
-sufficient statistics: per-team league points for the strengths, the
+categorical distributions whose log cell weights are linear in a few local
+features: the two sides' log strengths and log defences, the free
+propensity logs and log kappa. A problem lists each block's features once,
+in a table of their cell exponents and their parameters' slots per pair.
+The gradient in log space is the first moment of observed minus expected
+counts over that table: per-team league points for the strengths, the
 narrow/draw/bonus totals for the propensity parameters, and the home
 points edge for the home-advantage factor. Convergence is certified by
 driving those retrodictive residuals to zero, which is the model's
-defining property: every team's expected points over its actual schedule
-equal the points it actually took.
+defining property: every team's expected points over its actual schedule,
+the same moment of the expected counts, equal the points it actually took.
 
 A symmetric prior keeps every strength finite: each team notionally plays
 a fixed reference opponent of strength 1 twice, winning one match worth a
@@ -26,8 +29,8 @@ count-weighted covariance of its local features under the same cell
 probabilities the gradient uses, plus the prior's diagonal. A handful of
 steps reach the gradient tolerance.
 
-The Hessian comes in two parts. A plan, built once per problem, holds what
-the parameters do not change: each block's feature exponents and their
+The Hessian comes in two parts. A plan, built once per problem from the
+feature tables, holds what the parameters do not change: the features'
 pairwise products, the slot of every per-pair covariance entry among the
 matrix's non-zero positions, and an elimination order. Each step then
 reuses the cell probabilities of the evaluation at its iterate, forms the
@@ -46,8 +49,8 @@ With one strength table, a double round robin has a single level beyond
 its first team and plans one block, which is one dense solve.
 
 A problem may hold a stack of outcome tables over the same pairs, such as
-the replicates of a recovery study. Layout and plan are then built once,
-and each replicate is ascended alone on a copy that shares them
+the replicates of a recovery study. Layout, features and plan are then
+built once, and each replicate is ascended alone on a copy that shares them
 (``_Problem.replicate``), so its iterates are those of fitting its table
 alone.
 """
@@ -77,9 +80,9 @@ from .model import (
     ParameterLayout,
     Parameters,
     ParameterError,
+    TeamLogs,
     VariantConfig,
     _positive,
-    log_cell_weights,
     normalize_parameters,
     normalize_stack,
     parameter_layout,
@@ -91,6 +94,11 @@ from .model import (
 # it corresponds to a strength ratio above e^12, far outside anything a
 # finite season can support.
 _DIVERGENCE_LOG_LIMIT = 12.0
+
+# A fit converges once the gradient's max-norm is at most GRADIENT_TOLERANCE,
+# and gives up after MAX_ITERATIONS Newton steps.
+GRADIENT_TOLERANCE = 1e-8
+MAX_ITERATIONS = 500
 
 
 def _log_normalizer(lw: np.ndarray) -> np.ndarray:
@@ -152,8 +160,6 @@ class PriorConfig:
 class FitConfig:
     variant: VariantConfig = DEFAULT_VARIANT
     prior: PriorConfig = PriorConfig()
-    gradient_tolerance: float = 1e-8
-    max_iterations: int = 500
     freeze: Mapping[str, float] | None = None
     points_system: PointsSystem = DEFAULT_POINTS
 
@@ -185,8 +191,8 @@ class _HessianPlan:
 
     ``positions`` are the sorted flat positions of the Hessian's non-zero
     entries, the whole diagonal included, and ``prior_slots`` the indices
-    among them of the strengths' diagonal. Each block has its local
-    features' cell exponents (cells x k), their pairwise products
+    among them of the strengths' diagonal. Each block has its feature
+    table's cell exponents (cells x k), their pairwise products
     (cells x k*k) and, for every covariance entry (k*k x pairs, flattened),
     its slot in ``positions``; a dropped entry's slot is ``len(positions)``.
 
@@ -270,6 +276,7 @@ class _Problem:
                  freeze: Mapping[str, float] | None = None,
                  pin_first: bool = False):
         self.teams = list(teams)
+        self.variant = variant
         self.m = len(self.teams)
         self.w = float(prior_weight)
         self.i_idx, self.j_idx, self.home_mask = i_idx, j_idx, home_mask
@@ -294,6 +301,7 @@ class _Problem:
         self.n_strength = len(self.layout.strength_tables) * self.m
         self.n_team = len(self.layout.tables) * self.m
         self.n_free = self.n_team - self.pinned + len(self.free_structural)
+        self._table: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._plan: _HessianPlan | None = None
 
     @classmethod
@@ -326,7 +334,8 @@ class _Problem:
 
     def replicate(self, r: int) -> "_Problem":
         """The problem of table ``r`` of a stack alone. It shares this
-        problem's layout and Hessian plan, which is built here once."""
+        problem's layout, feature tables and Hessian plan, which are built
+        here once."""
         self._hessian_plan()
         one = copy.copy(self)
         one.block_data = [(block, obs[r], mvec[r])
@@ -342,13 +351,12 @@ class _Problem:
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         """Every per-team log in x's layout, the pinned one included, and
-        the log of every structural level (kappa 0 where absent)."""
+        the log of every structural level."""
         n = self.n_team - self.pinned
         flat = np.zeros(self.n_team)
         flat[self.pinned:] = x[:n]
         slog = dict(self.frozen_logs)
         slog.update(zip(self.free_structural, x[n:]))
-        slog.setdefault("kappa", 0.0)
         return flat, slog
 
     def pack(self, params: Parameters) -> np.ndarray:
@@ -373,64 +381,88 @@ class _Problem:
 
     # ---- likelihood ----
 
-    def _blocks(self, flat, slog):
-        """Each block's data with its log weights, log normalizers and
-        cell probabilities, all shaped cells x pairs."""
+    def _likelihood(self, x: np.ndarray) -> tuple[float, np.ndarray, list]:
+        """Log likelihood at ``x``, every per-team log (the pinned one too),
+        and each block's log weights (cells x pairs) and log normalizers."""
+        flat, slog = self.unpack(x)
         tables = self._tables(flat)
-        defence = tables.get(self.layout.defence)
-        defence_sum = None if defence is None \
-            else defence[self.i_idx] + defence[self.j_idx]
+        logs = TeamLogs(self.variant, tables[self.layout.home],
+                        tables[self.layout.away],
+                        tables.get(self.layout.defence), slog)
+        value, weights = 0.0, []
         for block, obs, mvec in self.block_data:
-            lw = log_cell_weights(block, tables[self.layout.home][self.i_idx],
-                                  tables[self.layout.away][self.j_idx], slog,
-                                  slog["kappa"] * self.home_mask, defence_sum)
+            lw = logs.log_weights(block, self.i_idx, self.j_idx,
+                                  self.home_mask)
             log_z = _log_normalizer(lw)
-            yield block, obs, mvec, lw, log_z, np.exp(lw - log_z[None, :])
+            value += float((obs * lw).sum() - mvec @ log_z)
+            weights.append((lw, log_z))
+        if self.w > 0:
+            alpha = flat[:self.n_strength]
+            value += float(self.w * (alpha - 2.0
+                                     * np.logaddexp(0.0, alpha)).sum())
+        return value, flat, weights
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, g, _ = self.evaluate(x)
-        return value, g
+    def _features(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each block's features' cell exponents (cells x k) and their
+        parameters' slots per pair (k x pairs), built on first use and kept.
+
+        The features are each side's log strength, both log defences, the
+        free structural logs and log kappa. The slots run over every
+        per-team log (the pinned one too), the free structural logs and a
+        slot for no parameter, which log kappa takes at a neutral ground.
+        """
+        if self._table is not None:
+            return self._table
+        layout, team = self.layout, self._tables(np.arange(self.n_team))
+        struct = {name: self.n_team + k
+                  for k, name in enumerate(self.free_structural)}
+        self._table = []
+        for block, _, _ in self.block_data:
+            features = [(block.home_points, team[layout.home][self.i_idx]),
+                        (block.away_points, team[layout.away][self.j_idx])]
+            if block.defence_exp is not None:
+                defence = team[layout.defence]
+                features += [(block.defence_exp, defence[self.i_idx]),
+                             (block.defence_exp, defence[self.j_idx])]
+            features += [(exps, np.full(len(self.i_idx), struct[name]))
+                         for name, exps in block.structural.items()
+                         if name in struct]
+            if "kappa" in struct:
+                # the home mask is 0 or 1
+                features.append((block.kappa_exp,
+                                 np.where(self.home_mask > 0, struct["kappa"],
+                                          self.n_team + len(struct))))
+            self._table.append((np.stack([f[0] for f in features], axis=1),
+                                np.stack([f[1] for f in features])))
+        return self._table
+
+    def _first_moments(self, cells: Sequence[np.ndarray]) -> np.ndarray:
+        """Per slot, the sum over blocks, pairs and cells of the feature
+        exponents times ``cells``, a cells x pairs array per block."""
+        sums = np.zeros(self.n_team + len(self.free_structural) + 1)
+        for (exps, slots), per_cell in zip(self._features(), cells):
+            sums += np.bincount(slots.ravel(), (exps.T @ per_cell).ravel(),
+                                len(sums))
+        return sums
+
+    def value(self, x: np.ndarray) -> float:
+        """Log likelihood at ``x``, summed as ``evaluate`` sums it."""
+        return self._likelihood(x)[0]
 
     def evaluate(self, x: np.ndarray
                  ) -> tuple[float, np.ndarray, list[np.ndarray]]:
         """Log likelihood, its gradient and each block's cell probabilities
         at ``x``; ``newton_direction`` takes the probabilities for the same
-        ``x``."""
-        flat, slog = self.unpack(x)
-        block_probs = []
-        value = 0.0
-        g_team = np.zeros(self.n_team)
-        g_tables = self._tables(g_team)  # views: adding to them fills g_team
-        g_struct = {name: 0.0 for name in self.free_structural}
-        for block, obs, mvec, lw, log_z, probs in self._blocks(flat, slog):
-            block_probs.append(probs)
-            value += float((obs * lw).sum() - mvec @ log_z)
-            resid = obs - mvec[None, :] * probs
-            g_tables[self.layout.home] += np.bincount(
-                self.i_idx, block.home_points @ resid, self.m)
-            g_tables[self.layout.away] += np.bincount(
-                self.j_idx, block.away_points @ resid, self.m)
-            for name, exps in block.structural.items():
-                if name in g_struct:
-                    g_struct[name] += float(exps @ resid.sum(axis=1))
-            if "kappa" in g_struct:
-                g_struct["kappa"] += float(
-                    (block.kappa_exp @ resid) @ self.home_mask)
-            if block.defence_exp is not None:
-                per_pair = block.defence_exp @ resid
-                g_defence = g_tables[self.layout.defence]
-                g_defence += np.bincount(self.i_idx, per_pair, self.m)
-                g_defence += np.bincount(self.j_idx, per_pair, self.m)
+        ``x``. The gradient is the first moment of the features' observed
+        minus expected counts, plus the prior's."""
+        value, flat, weights = self._likelihood(x)
+        probs = [np.exp(lw - log_z[None, :]) for lw, log_z in weights]
+        g = self._first_moments([obs - mvec[None, :] * p for (_, obs, mvec), p
+                                 in zip(self.block_data, probs)])
         if self.w > 0:
-            alpha = flat[:self.n_strength]
-            value += float(self.w * (alpha - 2.0
-                                     * np.logaddexp(0.0, alpha)).sum())
-            g_team[:self.n_strength] += self.w * (1.0 - 2.0 * _logistic(alpha))
-        g = np.concatenate([
-            g_team[self.pinned:],
-            np.array([g_struct[name] for name in self.free_structural]),
-        ])
-        return value, g, block_probs
+            g[:self.n_strength] += self.w * (
+                1.0 - 2.0 * _logistic(flat[:self.n_strength]))
+        return value, g[self.pinned:-1], probs
 
     def _hessian_plan(self) -> _HessianPlan:
         """The part of the Hessian that does not depend on ``x``.
@@ -441,37 +473,14 @@ class _Problem:
         if self._plan is not None:
             return self._plan
         n = self.n_free
-        # each table's x positions; the pinned entry's is -1
-        table_pos = self._tables(np.arange(self.n_team) - self.pinned)
-        home_pos = table_pos[self.layout.home]
-        away_pos = table_pos[self.layout.away]
-        struct_pos = {name: self.n_team - self.pinned + k
-                      for k, name in enumerate(self.free_structural)}
-        pairs = len(self.i_idx)
         planned = []  # (exps, products, flat) per block
-        for block, _, _ in self.block_data:
-            # (cell exponents, position per pair); position -1 drops it
-            features = [(block.home_points, home_pos[self.i_idx]),
-                        (block.away_points, away_pos[self.j_idx])]
-            if block.defence_exp is not None:
-                def_pos = table_pos[self.layout.defence]
-                features += [(block.defence_exp, def_pos[self.i_idx]),
-                             (block.defence_exp, def_pos[self.j_idx])]
-            for name, exps in block.structural.items():
-                if name in struct_pos:
-                    features.append((exps, np.full(pairs, struct_pos[name])))
-            if "kappa" in struct_pos:
-                # the home mask is 0 or 1: log kappa's feature is zero at a
-                # neutral ground, so its entries there are dropped
-                features.append((block.kappa_exp,
-                                 np.where(self.home_mask > 0,
-                                          struct_pos["kappa"], -1)))
-            exps = np.stack([f[0] for f in features], axis=1)
-            pos = np.stack([f[1] for f in features])
-            rows, cols = pos[:, None, :], pos[None, :, :]
-            k = len(features)
+        for exps, slots in self._features():
+            pos = slots - self.pinned  # x positions; those outside x drop
+            kept = (pos >= 0) & (pos < n)
+            k = len(pos)
             # flat matrix position of each covariance entry; n * n if dropped
-            flat = np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n)
+            flat = np.where(kept[:, None, :] & kept[None, :, :],
+                            pos[:, None, :] * n + pos[None, :, :], n * n)
             products = (exps[:, :, None] * exps[:, None, :]).reshape(-1, k * k)
             planned.append((exps, products, flat.reshape(-1)))
         present = np.zeros(n * n + 1, dtype=bool)
@@ -501,21 +510,16 @@ class _Problem:
                      probs: Sequence[np.ndarray] | None) -> np.ndarray:
         """Minus the Hessian's entries at the plan's positions.
 
-        A block's log weights for one pair are linear in a few local
-        features: each side's log strength, both log defences, the free
-        structural logs and log kappa on home grounds. Its Hessian is minus
-        the count-weighted covariance of those features under the pair's
-        cell probabilities. ``probs`` are those probabilities, one
-        cells x pairs array per block, as ``evaluate`` returns them at the
-        same ``x``; without them the kernel runs again.
+        A pair's block adds the count-weighted covariance of its features
+        under its cell probabilities: ``probs``, as ``evaluate`` returns
+        them at the same ``x``; without them ``evaluate`` runs again.
 
         The second moments and means take two matrix products per block;
         one bincount sums the covariance entries per slot, and the prior
         adds its curvature to the strengths' diagonal.
         """
-        flat, slog = self.unpack(x)
         if probs is None:
-            probs = [p for *_, p in self._blocks(flat, slog)]
+            probs = self.evaluate(x)[2]
         plan = self._hessian_plan()
         sums = np.zeros(len(plan.positions) + 1)
         for (_, _, mvec), (exps, products, slots), p in zip(
@@ -527,7 +531,7 @@ class _Problem:
                 * mvec[None, :]
             sums += np.bincount(slots, cov.ravel(), len(sums))
         if self.w > 0:
-            p = _logistic(flat[self.pinned:self.n_strength])
+            p = _logistic(x[:self.n_strength - self.pinned])
             sums[plan.prior_slots] += 2.0 * self.w * p * (1.0 - p)
         return sums[:-1]
 
@@ -547,8 +551,10 @@ class _Problem:
         """
         plan = self._hessian_plan()
         n = self.n_free
+        # formed before the dense matrix, so their temporaries never overlap
+        information = self._information(x, probs)
         a = np.zeros(n * (n + 1))
-        a[plan.eliminated] = self._information(x, probs)
+        a[plan.eliminated] = information
         a = a.reshape(n, n + 1)
         a[:, n] = g[plan.order]
         steps = []
@@ -569,20 +575,17 @@ class _Problem:
     # ---- reporting ----
 
     def expected_totals(self, x: np.ndarray) -> np.ndarray:
-        """Expected league points per team at ``x``, prior included."""
-        flat, slog = self.unpack(x)
-        expected = np.zeros(self.m)
-        for block, _, mvec, _, _, probs in self._blocks(flat, slog):
-            exp_cells = mvec[None, :] * probs
-            expected += np.bincount(self.i_idx, block.home_points @ exp_cells,
-                                    self.m)
-            expected += np.bincount(self.j_idx, block.away_points @ exp_cells,
-                                    self.m)
+        """Expected league points per team at ``x``, prior included: the
+        first moment of the expected counts over the strength tables."""
+        _, flat, weights = self._likelihood(x)
+        totals = self._first_moments([
+            mvec[None, :] * np.exp(lw - log_z[None, :])
+            for (_, _, mvec), (lw, log_z) in zip(self.block_data, weights)
+        ])[:self.n_strength]
         if self.w > 0:
             # one notional win and loss per side the team's strength plays
-            p = _logistic(flat[:self.n_strength])
-            expected += 2.0 * self.w * p.reshape(-1, self.m).sum(axis=0)
-        return expected
+            totals += 2.0 * self.w * _logistic(flat[:self.n_strength])
+        return totals.reshape(-1, self.m).sum(axis=0)
 
 
 def _cells_by_pairs(counts: np.ndarray) -> np.ndarray:
@@ -608,8 +611,7 @@ def log_likelihood(params: Parameters, counts: OutcomeCounts,
                    points: PointsSystem = DEFAULT_POINTS) -> float:
     """Normalized log likelihood of the counts (plus prior) at ``params``."""
     problem, x = _full_problem(params, counts, prior, variant, points)
-    value, _ = problem.value_and_grad(x)
-    return value
+    return problem.value(x)
 
 
 def score(params: Parameters, counts: OutcomeCounts,
@@ -622,7 +624,7 @@ def score(params: Parameters, counts: OutcomeCounts,
     they all vanish, which is the retrodictive criterion.
     """
     problem, x = _full_problem(params, counts, prior, variant, points)
-    _, grad = problem.value_and_grad(x)
+    _, grad, _ = problem.evaluate(x)
     parts: dict = {
         name: dict(zip(problem.teams, table))
         for name, table in problem._tables(grad[:problem.n_team]).items()}
@@ -839,8 +841,8 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
     """
     problem = _fit_problem(counts, config)
     w = config.prior.weight
-    result = minimize(problem, np.zeros(problem.n_free),
-                      config.gradient_tolerance, config.max_iterations)
+    result = minimize(problem, np.zeros(problem.n_free), GRADIENT_TOLERANCE,
+                      MAX_ITERATIONS)
     nit, grad_inf = result.nit, result.grad_inf
     raw = problem.x_to_parameters(result.x)
     records = team_records(counts, config.points_system)
@@ -901,8 +903,7 @@ def fit_replicates(counts: OutcomeCounts,
     raws = []
     for r in range(len(counts.result)):
         problem = stack.replicate(r)
-        result = minimize(problem, x0, config.gradient_tolerance,
-                          config.max_iterations)
+        result = minimize(problem, x0, GRADIENT_TOLERANCE, MAX_ITERATIONS)
         raws.append(problem.x_to_parameters(result.x)
                     if result.converged else None)
     normalized = iter(normalize_stack([raw for raw in raws if raw is not None],

@@ -37,13 +37,13 @@ One function, ``log_cell_weights``, builds the log cell weights of a block
 for a whole array of fixtures at once: the cell axis leads, and the
 fixtures may form an array of any shape. The fit in ``estimate``,
 ``outcome_distribution`` and ``expected_points`` here, PPPM in ``rank``
-and season sampling in ``simulate`` all go through it. Everything but the
-fit reaches it through ``TeamLogs``, the one mapping from ``Parameters``
-to per-team log arrays, which covers all four variants: named fixtures
-are looked up as team positions, and PPPM passes a column of home
-positions against the row of all teams, so each chunk of the double
-round robin is one 2-D evaluation. Probabilities are normalized in the
-log domain with a max shift per fixture, so enormous strength ratios
+and season sampling in ``simulate`` all go through it, and all reach it
+through ``TeamLogs``: per-team log arrays for all four variants, taken
+from ``Parameters`` or, in the fit, from the log parameters it ascends.
+Named fixtures are looked up as team positions, and PPPM passes a column
+of home positions against the row of all teams, so each chunk of the
+double round robin is one 2-D evaluation. Probabilities are normalized in
+the log domain with a max shift per fixture, so enormous strength ratios
 cannot overflow.
 """
 
@@ -391,7 +391,7 @@ class TeamLogs:
     strength tables in team order (one table serves both sides outside
     the team-specific variant), ``defence`` the defence table's logs when
     the variant reads one, and ``structural`` the log of each structural
-    level. This is the one mapping from ``Parameters`` to the kernel's
+    level. This is the one mapping from log parameters to the kernel's
     arguments.
     """
 
@@ -405,37 +405,39 @@ class TeamLogs:
     def of(cls, params: Parameters, teams: Sequence[str],
            variant: VariantConfig = DEFAULT_VARIANT) -> "TeamLogs":
         layout = parameter_layout(variant)
-        defence = None
-        if layout.defence:
-            defence = _team_logs(getattr(params, layout.defence), teams)
-        return cls(variant, _team_logs(getattr(params, layout.home), teams),
-                   _team_logs(getattr(params, layout.away), teams), defence,
+        logs = {name: _team_logs(getattr(params, name), teams)
+                for name in layout.tables}
+        return cls(variant, logs[layout.home], logs[layout.away],
+                   logs.get(layout.defence),
                    {name: math.log(getattr(params, name))
                     for name in layout.structural})
+
+    def log_weights(self, block: OutcomeBlock, home: np.ndarray,
+                    away: np.ndarray, at_home: np.ndarray | float
+                    ) -> np.ndarray:
+        """Log cell weights of ``block``, cells x the fixtures' shape, for
+        the fixtures between the teams at positions ``home`` and ``away``,
+        integer arrays that broadcast together. ``at_home`` broadcasts to
+        their shape: 1 at the home side's ground, 0 at a neutral one.
+        Kappa applies only where the layout has it."""
+        defence_sum = None
+        if self.defence is not None:
+            defence_sum = self.defence[home] + self.defence[away]
+        return log_cell_weights(block, self.home[home], self.away[away],
+                                self.structural,
+                                self.structural.get("kappa", 0.0) * at_home,
+                                defence_sum)
 
     def distribution(self, home: np.ndarray, away: np.ndarray,
                      at_home: np.ndarray | float,
                      points: PointsSystem = DEFAULT_POINTS
                      ) -> OutcomeDistribution:
-        """Outcome distribution of the fixtures between the teams at
-        positions ``home`` and ``away``, with ``at_home`` 1 at the home
-        side's ground and 0 at a neutral one.
-
-        ``home`` and ``away`` are integer arrays of any shapes that
-        broadcast together, and ``at_home`` broadcasts to their shape; the
-        distribution's arrays are cells x that shape. Kappa applies only
-        where the layout has it.
-        """
-        defence_sum = None
-        if self.defence is not None:
-            defence_sum = self.defence[home] + self.defence[away]
-        args = (self.home[home], self.away[away], self.structural,
-                self.structural.get("kappa", 0.0) * at_home, defence_sum)
-        return OutcomeDistribution(
-            _normalize_log_weights(log_cell_weights(result_block(points),
-                                                    *args)),
-            _normalize_log_weights(log_cell_weights(try_block(self.variant),
-                                                    *args)))
+        """Outcome distribution of the fixtures that ``log_weights``
+        takes; its arrays are cells x their shape."""
+        return OutcomeDistribution(*(
+            _normalize_log_weights(self.log_weights(block, home, away,
+                                                    at_home))
+            for block in (result_block(points), try_block(self.variant))))
 
 
 def outcome_distribution(params: Parameters, home: str | Sequence[str],
@@ -616,50 +618,43 @@ def _solve_scales(values: np.ndarray, rel_tol: float = 1e-12
     """``solve_scale`` for each row of a fields x strengths array.
 
     One generalized mean per step covers every row, while each row keeps
-    its own bracket as Python floats and stops moving once it has found
-    its bracket or its root, so each scale is the one its field finds
-    alone.
+    its own bracket and stops moving once it has found its bracket or its
+    root, so each scale is the one its field finds alone.
     """
     unbounded = np.isinf(values)
     if not unbounded.any():
         unbounded = None
 
-    def means(c: list[float]) -> list[float]:
-        return _generalized_means(values, unbounded, np.array(c)[:, None])
+    def means(c: np.ndarray) -> np.ndarray:
+        return np.array(_generalized_means(values, unbounded, c[:, None]))
 
-    lo, hi = [1.0] * len(values), [1.0] * len(values)
+    lo, hi = np.ones(len(values)), np.ones(len(values))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2200):
-            moving = [k for k, mean in enumerate(means(lo)) if not mean < 1.0]
-            if not moving:
+            moving = ~(means(lo) < 1.0)
+            if not moving.any():
                 break
-            for k in moving:
-                lo[k] /= 2.0
+            lo[moving] /= 2.0
         else:
             raise ValueError("no positive scale achieves a generalized mean "
                              "of 1; too many unbounded strengths")
         for _ in range(2200):
-            moving = [k for k, mean in enumerate(means(hi)) if not mean > 1.0]
-            if not moving:
+            moving = ~(means(hi) > 1.0)
+            if not moving.any():
                 break
-            for k in moving:
-                hi[k] *= 2.0
+            hi[moving] *= 2.0
         else:
             raise ValueError("no positive scale achieves a generalized mean "
                              "of 1; strengths are all zero or vanishing")
         while True:
-            wide = [k for k, (a, b) in enumerate(zip(lo, hi))
-                    if b - a > rel_tol * a]
-            if not wide:
+            wide = hi - lo > rel_tol * lo
+            if not wide.any():
                 break
-            mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
-            mean = means(mid)
-            for k in wide:
-                if mean[k] < 1.0:
-                    lo[k] = mid[k]
-                else:
-                    hi[k] = mid[k]
-    return [0.5 * (a + b) for a, b in zip(lo, hi)]
+            mid = 0.5 * (lo + hi)
+            below = means(mid) < 1.0
+            np.copyto(lo, mid, where=wide & below)
+            np.copyto(hi, mid, where=wide & ~below)
+    return (0.5 * (lo + hi)).tolist()
 
 
 def solve_scale(strengths, rel_tol: float = 1e-12) -> float:

@@ -51,9 +51,10 @@ from .domain import (
     TryOutcome,
     Venue,
 )
+from .estimate import GRADIENT_TOLERANCE, FitConfig, fit_replicates
 # fit is not called here; it stays importable as simulate.fit, a name
 # the benchmark's tracer wraps
-from .estimate import FitConfig, fit, fit_replicates  # noqa: F401
+from .estimate import fit  # noqa: F401
 from .ingest import small_csv_rows
 from .model import (
     DEFAULT_VARIANT,
@@ -308,7 +309,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 # robin, so estimates that are mathematically equal differ by less than one
 # tolerance there (the final Newton step leaves about 1e-16). One league
 # point moves a log strength by the inverse curvature, 0.03 or more, so at
-# the default tolerance of 1e-8 the tie width of 1e-6 sits two orders of
+# the tolerance of 1e-8 the tie width of 1e-6 sits two orders of
 # magnitude above the noise and four below the smallest real gap.
 _TIE_TOLERANCES = 100.0
 
@@ -429,7 +430,7 @@ def recovery_study(truth: Parameters, fixtures: Sequence[Fixture],
                          "strength in the truth parameters")
     truth_orders = [np.array([table[t] for t in teams])
                     for table in truth_tables]
-    tie_width = _TIE_TOLERANCES * fit_config.gradient_tolerance
+    tie_width = _TIE_TOLERANCES * GRADIENT_TOLERANCE
     counts = simulate_season(truth, fixtures, seed, range(replicates),
                              variant, fit_config.points_system)
     results: list[ReplicateResult] = []

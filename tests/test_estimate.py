@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 from scrumrank.domain import (
     DEFAULT_POINTS,
     OutcomeCounts,
+    Venue,
     outcome_counts,
     team_records,
 )
@@ -39,6 +40,7 @@ from scrumrank.model import (
     TryModel,
     VariantConfig,
     generalized_mean,
+    log_cell_weights,
     outcome_distribution,
     parameter_layout,
 )
@@ -251,11 +253,11 @@ def test_single_decisive_match_diverges_without_prior():
         > model.parameters.strengths["Loser"]
 
 
-def test_iteration_budget_failure_reports_diagnostics():
+def test_iteration_budget_failure_reports_diagnostics(monkeypatch):
     counts = outcome_counts(load_matches(DATA / "golden_season.csv").records)
+    monkeypatch.setattr(estimate, "MAX_ITERATIONS", 1)
     with pytest.raises(NonConvergenceError) as err:
-        fit(counts, FitConfig(prior=PriorConfig(weight=1.0),
-                              max_iterations=1))
+        fit(counts, FitConfig(prior=PriorConfig(weight=1.0)))
     assert err.value.iterations <= 1
 
 
@@ -437,8 +439,8 @@ def _hessian_by_central_differences(problem: _Problem, x: np.ndarray,
     for k in range(len(x)):
         bump = np.zeros(len(x))
         bump[k] = h
-        columns.append((problem.value_and_grad(x + bump)[1]
-                        - problem.value_and_grad(x - bump)[1]) / (2 * h))
+        columns.append((problem.evaluate(x + bump)[1]
+                        - problem.evaluate(x - bump)[1]) / (2 * h))
     return np.stack(columns, axis=1)
 
 
@@ -491,10 +493,56 @@ def test_hessian_from_evaluated_probabilities_equals_a_fresh_one(
     assert np.array_equal(_dense_hessian(reused, x1, probs), at_x1)
     assert np.array_equal(_dense_hessian(reused, x1), at_x1)
     # an evaluation at one point leaves nothing behind for another
-    reused.value_and_grad(x1)
+    reused.evaluate(x1)
     at_x2 = _dense_hessian(reused, x2)
     assert np.array_equal(at_x2, _dense_hessian(problem(), x2))
     assert not np.array_equal(at_x2, at_x1)
+
+
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+@pytest.mark.parametrize("weight, freeze, pin_first", [
+    (0.0, None, True),
+    (1.0, None, False),
+    (0.0, {"rho_n": 0.448}, False),
+])
+def test_value_equals_the_evaluated_log_likelihood(variant, weight, freeze,
+                                                   pin_first):
+    counts = _golden_counts()
+    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+                                   DEFAULT_POINTS, freeze=freeze,
+                                   pin_first=pin_first)
+    x = np.random.default_rng(41).normal(0.0, 0.5, problem.n_free)
+    assert problem.value(x) == problem.evaluate(x)[0]
+
+
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+@pytest.mark.parametrize("weight", [0.0, 1.0])
+def test_expected_points_are_the_played_pairs_expected_points(variant,
+                                                              weight):
+    counts = _golden_counts()
+    model = fit(counts, FitConfig(variant=variant,
+                                  prior=PriorConfig(weight=weight)))
+    raw = model.raw_parameters
+    home_exp, away_exp = outcome_distribution(
+        raw, [counts.teams[i] for i in counts.home],
+        [counts.teams[j] for j in counts.away], variant,
+        [Venue.HOME_GROUND if at_home else Venue.NEUTRAL
+         for at_home in counts.home_ground]).expected_points()
+    matches = counts.result.sum(axis=1)
+    m = len(counts.teams)
+    expected = (np.bincount(counts.home, matches * home_exp, m)
+                + np.bincount(counts.away, matches * away_exp, m))
+    # each strength table's two notional prior matches against strength 1
+    for name in parameter_layout(variant).strength_tables:
+        strengths = np.array([getattr(raw, name)[t] for t in counts.teams])
+        expected += 2.0 * weight * strengths / (1.0 + strengths)
+    reported = np.array([model.report.expected_points[t]
+                         for t in counts.teams])
+    np.testing.assert_allclose(reported, expected, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS,
@@ -502,7 +550,7 @@ def test_hessian_from_evaluated_probabilities_equals_a_fresh_one(
                                        f"{v.try_model.value}")
 def test_fit_runs_the_kernel_only_for_evaluations(monkeypatch, variant):
     kernel_calls = []
-    kernel = estimate.log_cell_weights
+    kernel = log_cell_weights
 
     def counting_kernel(*args, **kwargs):
         kernel_calls.append(args[0])
@@ -515,7 +563,7 @@ def test_fit_runs_the_kernel_only_for_evaluations(monkeypatch, variant):
         results.append(solver(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(estimate, "log_cell_weights", counting_kernel)
+    monkeypatch.setattr("scrumrank.model.log_cell_weights", counting_kernel)
     monkeypatch.setattr(estimate, "minimize", counting_solver)
     fit(_golden_counts(), FitConfig(variant=variant,
                                     prior=PriorConfig(weight=1.0)))

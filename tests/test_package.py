@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import scrumrank
@@ -28,3 +29,8 @@ def test_package_root_exports_exactly_the_listed_names():
               and not isinstance(value, types.ModuleType)}
     assert sorted(public - EXPORTS) == []  # exported but not listed
     assert sorted(EXPORTS - public) == []  # listed but not exported
+
+
+def test_fit_config_has_exactly_the_listed_fields():
+    fields = [field.name for field in dataclasses.fields(scrumrank.FitConfig)]
+    assert fields == ["variant", "prior", "freeze", "points_system"]
