@@ -36,7 +36,6 @@ from .estimate import (
 )
 from .ingest import (
     CleanResult,
-    CsvParseError,
     clean,
     parse_csv,
     write_audit_csv,
@@ -83,9 +82,12 @@ def _write_text(path: str, text: str):
         handle.write(text)
 
 
-def _load_points(path: str | None) -> PointsSystem:
-    if path is None:
-        return DEFAULT_POINTS
+def _load_points(path: str | None,
+                 fallback: PointsSystem = DEFAULT_POINTS) -> PointsSystem:
+    """The points system in the file at ``path``; ``fallback`` when no
+    file is given."""
+    if not path:
+        return fallback
     return PointsSystem.from_dict(
         json_object(json.loads(_read_text(path)), "points-system file"))
 
@@ -234,8 +236,7 @@ def _sibling(path: str, suffix: str, extension: str | None = None) -> str:
 def _cmd_rank(args, argv) -> int:
     model = FittedModel.from_json(_read_text(args.model))
     model.parameters.validate(model.variant)
-    points = (_load_points(args.points_system) if args.points_system
-              else model.points_system)
+    points = _load_points(args.points_system, model.points_system)
     result = _load_clean_result(args.results)
     if _report_rejections(result):
         return 3
@@ -281,8 +282,7 @@ def _cmd_simulate(args, argv) -> int:
         raise ValueError(f"--seed must be a non-negative integer, "
                          f"got {args.seed}")
     params, file_variant, file_points = _load_parameters_file(args.truth)
-    points = (_load_points(args.points_system) if args.points_system
-              else (file_points or DEFAULT_POINTS))
+    points = _load_points(args.points_system, file_points or DEFAULT_POINTS)
     if args.variant:
         variant = VARIANTS[args.variant]
     else:
@@ -312,8 +312,7 @@ def _cmd_simulate(args, argv) -> int:
 
 def _cmd_interpret(args, argv) -> int:
     params, file_variant, file_points = _load_parameters_file(args.model)
-    points = (_load_points(args.points_system) if args.points_system
-              else (file_points or DEFAULT_POINTS))
+    points = _load_points(args.points_system, file_points or DEFAULT_POINTS)
     variant = file_variant or DEFAULT_VARIANT
     if variant != DEFAULT_VARIANT:
         raise ValueError(
@@ -410,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NonConvergenceError as error:
         print(f"error: {error}", file=sys.stderr)
         return 4
-    except (CsvParseError, ValueError, KeyError, OSError) as error:
+    except (ValueError, KeyError, OSError) as error:
         message = f"missing key {error}" if isinstance(error, KeyError) \
             else str(error)
         print(f"error: {message}", file=sys.stderr)

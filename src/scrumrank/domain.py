@@ -18,7 +18,7 @@ Everything here is a pure function of immutable values; no I/O.
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -271,10 +271,6 @@ class PairCounts:
 PairKey = tuple[str, str, Venue]
 
 
-def _empty(*shape: int) -> np.ndarray:
-    return np.zeros(shape, dtype=np.intp)
-
-
 @dataclass(frozen=True, eq=False)
 class OutcomeCounts:
     """Season-level outcome frequency table, one row per ordered (home,
@@ -286,17 +282,16 @@ class OutcomeCounts:
     ``tries`` are the outcome counts, rows x 5 and rows x 4. A stack of
     seasons played over the same fixture list shares the rows, and its
     counts carry a leading replicate axis: replicates x rows x 5 and x 4;
-    only ``validate`` and ``estimate.fit_replicates`` read a stack. The
-    default is the empty table; ``tabulate`` builds every other.
+    only ``validate`` and ``estimate.fit_replicates`` read a stack.
+    ``tabulate`` builds every table.
     """
 
-    teams: list[str] = field(default_factory=list)
-    home: np.ndarray = field(default_factory=lambda: _empty(0))
-    away: np.ndarray = field(default_factory=lambda: _empty(0))
-    home_ground: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=bool))
-    result: np.ndarray = field(default_factory=lambda: _empty(0, 5))
-    tries: np.ndarray = field(default_factory=lambda: _empty(0, 4))
+    teams: list[str]
+    home: np.ndarray
+    away: np.ndarray
+    home_ground: np.ndarray
+    result: np.ndarray
+    tries: np.ndarray
 
     @classmethod
     def tabulate(cls, home: Sequence[str], away: Sequence[str],
@@ -337,8 +332,9 @@ class OutcomeCounts:
             np.bincount((row * 4 + tries)[counted],
                         minlength=seasons * n * 4).reshape(*stack, n, 4))
 
-    # no caller in the package; kept because perfbench/spans.py counts
-    # the rows through it
+    # no caller in the package, and the tests read the arrays; kept, with
+    # _PairView and PairCounts, only because perfbench/spans.py counts the
+    # rows through it
     @property
     def pairs(self) -> Mapping[PairKey, PairCounts]:
         """Read-only ``{(home, away, venue): PairCounts}`` over the rows."""

@@ -4,8 +4,12 @@ The likelihood factorizes over ordered (home, away, venue) triples, and
 each triple's result and try blocks are independently normalized
 categorical distributions whose log cell weights are linear in a few local
 features: the two sides' log strengths and log defences, the free
-propensity logs and log kappa. A problem lists each block's features once,
-in a table of their cell exponents and their parameters' slots per pair.
+propensity logs and log kappa. The weights come from the model's one
+kernel, ``model.TeamLogs.log_weights``, which a fit runs once per block
+for each likelihood evaluation and nowhere else: the Hessian and the
+closing points totals reuse the cell probabilities of the evaluation at
+their iterate. A problem lists each block's features once, in a table of
+their cell exponents and their parameters' slots per pair.
 The gradient in log space is the first moment of observed minus expected
 counts over that table: per-team league points for the strengths, the
 narrow/draw/bonus totals for the propensity parameters, and the home
@@ -507,19 +511,17 @@ class _Problem:
         return self._plan
 
     def _information(self, x: np.ndarray,
-                     probs: Sequence[np.ndarray] | None) -> np.ndarray:
+                     probs: Sequence[np.ndarray]) -> np.ndarray:
         """Minus the Hessian's entries at the plan's positions.
 
         A pair's block adds the count-weighted covariance of its features
         under its cell probabilities: ``probs``, as ``evaluate`` returns
-        them at the same ``x``; without them ``evaluate`` runs again.
+        them at the same ``x``.
 
         The second moments and means take two matrix products per block;
         one bincount sums the covariance entries per slot, and the prior
         adds its curvature to the strengths' diagonal.
         """
-        if probs is None:
-            probs = self.evaluate(x)[2]
         plan = self._hessian_plan()
         sums = np.zeros(len(plan.positions) + 1)
         for (_, _, mvec), (exps, products, slots), p in zip(
@@ -536,8 +538,7 @@ class _Problem:
         return sums[:-1]
 
     def newton_direction(self, x: np.ndarray, g: np.ndarray,
-                         probs: Sequence[np.ndarray] | None = None
-                         ) -> np.ndarray:
+                         probs: Sequence[np.ndarray]) -> np.ndarray:
         """Solve ``-H d = g`` by block elimination in the plan's order.
 
         Minus the Hessian is scattered in elimination order, so each block
@@ -574,13 +575,15 @@ class _Problem:
 
     # ---- reporting ----
 
-    def expected_totals(self, x: np.ndarray) -> np.ndarray:
+    def expected_totals(self, x: np.ndarray,
+                        probs: Sequence[np.ndarray]) -> np.ndarray:
         """Expected league points per team at ``x``, prior included: the
-        first moment of the expected counts over the strength tables."""
-        _, flat, weights = self._likelihood(x)
+        first moment of the expected counts over the strength tables,
+        under ``probs`` as ``evaluate`` returns them at ``x``."""
+        flat, _ = self.unpack(x)
         totals = self._first_moments([
-            mvec[None, :] * np.exp(lw - log_z[None, :])
-            for (_, _, mvec), (lw, log_z) in zip(self.block_data, weights)
+            mvec[None, :] * p
+            for (_, _, mvec), p in zip(self.block_data, probs)
         ])[:self.n_strength]
         if self.w > 0:
             # one notional win and loss per side the team's strength plays
@@ -639,13 +642,15 @@ _MAX_HALVINGS = 40
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """Last accepted iterate of ``minimize`` with its log likelihood and
-    gradient max-norm, Newton steps (``nit``) and likelihood-and-gradient
-    evaluations (``nfev``); ``message`` says why the ascent stopped."""
+    """Last accepted iterate of ``minimize`` with its log likelihood,
+    gradient max-norm and each block's cell probabilities, Newton steps
+    (``nit``) and likelihood-and-gradient evaluations (``nfev``);
+    ``message`` says why the ascent stopped."""
 
     x: np.ndarray
     value: float
     grad_inf: float
+    probs: list[np.ndarray]
     nit: int
     nfev: int
     converged: bool
@@ -695,9 +700,9 @@ def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
         x, value, g, probs, grad_inf = (trial, trial_value, trial_g,
                                         trial_probs, trial_inf)
     else:
-        return NewtonResult(x, value, grad_inf, nit, nfev, True,
+        return NewtonResult(x, value, grad_inf, probs, nit, nfev, True,
                             "gradient tolerance reached")
-    return NewtonResult(x, value, grad_inf, nit, nfev, False, message)
+    return NewtonResult(x, value, grad_inf, probs, nit, nfev, False, message)
 
 
 def _diagnose(records: Mapping[str, TeamRecord], prior_weight: float) -> str:
@@ -866,7 +871,7 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
         )
     # each strength table's notional prior matches earn the team w points
     prior_points = w * len(problem.layout.strength_tables)
-    expected = problem.expected_totals(result.x)
+    expected = problem.expected_totals(result.x, result.probs)
     report = ConvergenceReport(
         iterations=nit,
         final_gradient_norm=grad_inf,

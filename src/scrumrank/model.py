@@ -33,18 +33,18 @@ with ``dataclasses.replace``. Validation, the gauge transform, the fit's
 parameter packing, PPPM, simulation and the CLI all loop over that
 description instead of branching on the variant.
 
-One function, ``log_cell_weights``, builds the log cell weights of a block
-for a whole array of fixtures at once: the cell axis leads, and the
-fixtures may form an array of any shape. The fit in ``estimate``,
-``outcome_distribution`` and ``expected_points`` here, PPPM in ``rank``
-and season sampling in ``simulate`` all go through it, and all reach it
-through ``TeamLogs``: per-team log arrays for all four variants, taken
-from ``Parameters`` or, in the fit, from the log parameters it ascends.
-Named fixtures are looked up as team positions, and PPPM passes a column
-of home positions against the row of all teams, so each chunk of the
-double round robin is one 2-D evaluation. Probabilities are normalized in
-the log domain with a max shift per fixture, so enormous strength ratios
-cannot overflow.
+One method, ``TeamLogs.log_weights``, is the kernel: it builds the log
+cell weights of a block for a whole array of fixtures at once, the cell
+axis leading and the fixtures forming an array of any shape. ``TeamLogs``
+holds per-team log arrays for all four variants, taken from
+``Parameters`` or, in the fit, from the log parameters it ascends. The
+fit in ``estimate``, ``outcome_distribution`` and ``expected_points``
+here, PPPM in ``rank`` and season sampling in ``simulate`` all go
+through it. Named fixtures are looked up as team positions, and PPPM
+passes a column of home positions against the row of all teams, so each
+chunk of the double round robin is one 2-D evaluation. Probabilities are
+normalized in the log domain with a max shift per fixture, so enormous
+strength ratios cannot overflow.
 """
 
 from __future__ import annotations
@@ -317,38 +317,6 @@ def parameter_layout(variant: VariantConfig = DEFAULT_VARIANT
     return ParameterLayout.of(variant, (result_block(), try_block(variant)))
 
 
-def log_cell_weights(block: OutcomeBlock, log_pi_home: np.ndarray,
-                     log_pi_away: np.ndarray,
-                     log_structural: Mapping[str, float],
-                     log_kappa_home: np.ndarray,
-                     defence_sum: np.ndarray | None) -> np.ndarray:
-    """Log cell weights of one block, shaped cells x fixtures.
-
-    Every consumer of the model builds its weights here: the fit, fixture
-    probabilities, PPPM and simulation. The per-fixture arguments are
-    arrays: each side's log strength, log kappa times the home-ground mask
-    (zero at neutral grounds and in variants without a single kappa), and
-    the sum of both sides' log defensive strengths, read only by a block
-    with defence exponents. The two strength arrays may have any shapes
-    that broadcast together, such as a column of home sides against a row
-    of away sides, and the other two must broadcast to their shape; the
-    cell axis leads and the fixtures' shape follows it.
-    """
-    ndim = max(np.ndim(log_pi_home), np.ndim(log_pi_away))
-
-    def lead(exps):
-        return exps.reshape((-1,) + (1,) * ndim)
-
-    lw = lead(block.home_points) * log_pi_home \
-        + lead(block.away_points) * log_pi_away
-    for name, exps in block.structural.items():
-        lw += lead(exps) * log_structural[name]
-    lw += lead(block.kappa_exp) * log_kappa_home
-    if block.defence_exp is not None:
-        lw += lead(block.defence_exp) * defence_sum
-    return lw
-
-
 def _normalize_log_weights(lw: np.ndarray) -> np.ndarray:
     """Cell probabilities from log weights, overwriting ``lw``."""
     lw -= lw.max(axis=0)
@@ -391,8 +359,7 @@ class TeamLogs:
     strength tables in team order (one table serves both sides outside
     the team-specific variant), ``defence`` the defence table's logs when
     the variant reads one, and ``structural`` the log of each structural
-    level. This is the one mapping from log parameters to the kernel's
-    arguments.
+    level. Its ``log_weights`` is the model's one kernel.
     """
 
     variant: VariantConfig
@@ -417,16 +384,29 @@ class TeamLogs:
                     ) -> np.ndarray:
         """Log cell weights of ``block``, cells x the fixtures' shape, for
         the fixtures between the teams at positions ``home`` and ``away``,
-        integer arrays that broadcast together. ``at_home`` broadcasts to
-        their shape: 1 at the home side's ground, 0 at a neutral one.
-        Kappa applies only where the layout has it."""
-        defence_sum = None
-        if self.defence is not None:
-            defence_sum = self.defence[home] + self.defence[away]
-        return log_cell_weights(block, self.home[home], self.away[away],
-                                self.structural,
-                                self.structural.get("kappa", 0.0) * at_home,
-                                defence_sum)
+        integer arrays that broadcast together, such as a column of home
+        sides against a row of away sides. ``at_home`` broadcasts to their
+        shape: 1 at the home side's ground, 0 at a neutral one. Kappa
+        applies only where the layout has it, and the defences only in a
+        block with defence exponents. The fit, fixture probabilities, PPPM
+        and simulation all build their weights here.
+        """
+        log_home, log_away = self.home[home], self.away[away]
+        ndim = max(np.ndim(log_home), np.ndim(log_away))
+
+        def lead(exps):
+            return exps.reshape((-1,) + (1,) * ndim)
+
+        lw = lead(block.home_points) * log_home \
+            + lead(block.away_points) * log_away
+        for name, exps in block.structural.items():
+            lw += lead(exps) * self.structural[name]
+        lw += lead(block.kappa_exp) * (self.structural.get("kappa", 0.0)
+                                       * at_home)
+        if block.defence_exp is not None:
+            lw += lead(block.defence_exp) * (self.defence[home]
+                                             + self.defence[away])
+        return lw
 
     def distribution(self, home: np.ndarray, away: np.ndarray,
                      at_home: np.ndarray | float,
@@ -613,8 +593,11 @@ def _generalized_means(values: np.ndarray, unbounded: np.ndarray | None,
     return [sum(row) / n for row in terms.tolist()]
 
 
-def _solve_scales(values: np.ndarray, rel_tol: float = 1e-12
-                  ) -> list[float]:
+# bisection stops once each bracket is this narrow relative to its low end
+_SCALE_TOLERANCE = 1e-12
+
+
+def _solve_scales(values: np.ndarray) -> list[float]:
     """``solve_scale`` for each row of a fields x strengths array.
 
     One generalized mean per step covers every row, while each row keeps
@@ -647,7 +630,7 @@ def _solve_scales(values: np.ndarray, rel_tol: float = 1e-12
             raise ValueError("no positive scale achieves a generalized mean "
                              "of 1; strengths are all zero or vanishing")
         while True:
-            wide = hi - lo > rel_tol * lo
+            wide = hi - lo > _SCALE_TOLERANCE * lo
             if not wide.any():
                 break
             mid = 0.5 * (lo + hi)
@@ -657,7 +640,7 @@ def _solve_scales(values: np.ndarray, rel_tol: float = 1e-12
     return (0.5 * (lo + hi)).tolist()
 
 
-def solve_scale(strengths, rel_tol: float = 1e-12) -> float:
+def solve_scale(strengths) -> float:
     """Positive c such that the generalized mean of c * strengths is 1.
 
     The mean is strictly increasing in c, from 0 towards 2 (or from the
@@ -665,7 +648,7 @@ def solve_scale(strengths, rel_tol: float = 1e-12) -> float:
     finds the unique root when one exists.
     """
     values = np.array([_strength_values(strengths)])
-    return _solve_scales(values, rel_tol)[0]
+    return _solve_scales(values)[0]
 
 
 def normalize_parameters(params: Parameters,

@@ -224,27 +224,19 @@ def build_table(metric_values: Mapping[str, float],
         if not math.isfinite(value):
             raise ValueError(f"rating for {team!r} is not finite: {value!r}")
 
-    def sort_key(team: str):
-        return -metric_values[team]
-
-    qualified = sorted((t for t, r in records.items()
-                        if r.played >= min_matches), key=sort_key)
-    unranked = sorted((t for t, r in records.items()
-                       if r.played < min_matches), key=sort_key)
+    # qualified teams first, then unranked ones, each by falling metric
+    ordered = sorted(records, key=lambda t: (records[t].played < min_matches,
+                                             -metric_values[t]))
     rows: list[RankRow] = []
-    for position, team in enumerate(qualified):
-        if position > 0 and metric_values[team] == metric_values[
-                qualified[position - 1]]:
+    for position, team in enumerate(ordered):
+        record = records[team]
+        if record.played < min_matches:
+            rank = None
+        elif position > 0 and metric_values[team] == rows[-1].rating:
             rank = rows[-1].rank  # share the tied rank
         else:
             rank = position + 1
-        record = records[team]
         rows.append(RankRow(rank, team, metric_values[team], record.played,
-                            record.won, record.drawn, record.lost,
-                            record.league_points, record.lppm))
-    for team in unranked:
-        record = records[team]
-        rows.append(RankRow(None, team, metric_values[team], record.played,
                             record.won, record.drawn, record.lost,
                             record.league_points, record.lppm))
     return RankingTable(rows=tuple(rows))

@@ -37,10 +37,10 @@ from scrumrank.model import (
     HomeModel,
     ParameterError,
     Parameters,
+    TeamLogs,
     TryModel,
     VariantConfig,
     generalized_mean,
-    log_cell_weights,
     outcome_distribution,
     parameter_layout,
 )
@@ -297,8 +297,10 @@ def test_pack_and_x_to_parameters_round_trip(variant, freeze):
     teams = ["A", "B", "C"]
     params = _random_params(np.random.default_rng(53), teams, variant)
     frozen = None if freeze is None else {freeze: getattr(params, freeze)}
-    problem = _Problem.from_counts(teams, OutcomeCounts(), variant, 0.0,
-                                   DEFAULT_POINTS, freeze=frozen)
+    problem = _Problem.from_counts(teams,
+                                   OutcomeCounts.tabulate([], [], [], [], []),
+                                   variant, 0.0, DEFAULT_POINTS,
+                                   freeze=frozen)
     again = problem.x_to_parameters(problem.pack(params))
     layout = parameter_layout(variant)
     for name in layout.tables:
@@ -325,7 +327,7 @@ def test_freeze_rejects_unknown_or_invalid_names():
 
 def test_fit_requires_two_teams():
     with pytest.raises(ParameterError):
-        fit(OutcomeCounts())
+        fit(OutcomeCounts.tabulate([], [], [], [], []))
 
 
 def test_prior_config_validation():
@@ -426,7 +428,10 @@ def test_log_normalizer_matches_scipy_logsumexp():
 def _dense_hessian(problem: _Problem, x: np.ndarray,
                    probs=None) -> np.ndarray:
     """The exact Hessian as a dense matrix in x's order: minus the
-    information scattered at the plan's positions."""
+    information scattered at the plan's positions, under ``probs`` or,
+    without them, under a fresh evaluation at ``x``."""
+    if probs is None:
+        probs = problem.evaluate(x)[2]
     n = problem.n_free
     hess = np.zeros(n * n)
     hess[problem._hessian_plan().positions] = -problem._information(x, probs)
@@ -550,10 +555,10 @@ def test_expected_points_are_the_played_pairs_expected_points(variant,
                                        f"{v.try_model.value}")
 def test_fit_runs_the_kernel_only_for_evaluations(monkeypatch, variant):
     kernel_calls = []
-    kernel = log_cell_weights
+    kernel = TeamLogs.log_weights
 
     def counting_kernel(*args, **kwargs):
-        kernel_calls.append(args[0])
+        kernel_calls.append(args[1])
         return kernel(*args, **kwargs)
 
     results = []
@@ -563,16 +568,16 @@ def test_fit_runs_the_kernel_only_for_evaluations(monkeypatch, variant):
         results.append(solver(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr("scrumrank.model.log_cell_weights", counting_kernel)
+    monkeypatch.setattr(TeamLogs, "log_weights", counting_kernel)
     monkeypatch.setattr(estimate, "minimize", counting_solver)
     fit(_golden_counts(), FitConfig(variant=variant,
                                     prior=PriorConfig(weight=1.0)))
     (result,) = results
     assert result.nit >= 2
-    # one kernel pass per block for each likelihood-and-gradient evaluation
-    # and for the closing points totals; every Hessian reuses the
-    # probabilities of the evaluation at its iterate
-    assert len(kernel_calls) == 2 * result.nfev + 2
+    # one kernel pass per block for each likelihood-and-gradient
+    # evaluation; every Hessian and the closing points totals reuse the
+    # probabilities of the evaluation at their iterate
+    assert len(kernel_calls) == 2 * result.nfev
 
 
 @pytest.mark.parametrize("dropped", [(0,), (0, 1), (-1,), (1, -1)])
@@ -580,10 +585,12 @@ def test_problem_names_the_first_team_missing_from_the_list(dropped):
     counts = _golden_counts()
     teams = counts.teams
     gone = {teams[k] for k in dropped}
-    # the pairs in the problem's order, home before away within each
-    keys = sorted(counts.pairs, key=lambda k: (k[0], k[1], k[2].value))
-    first = next(team for home, away, _ in keys for team in (home, away)
-                 if team in gone)
+    # the pairs in the problem's order, home before away within each; the
+    # teams are sorted, so their indices sort as their names do
+    keys = sorted(zip(counts.home.tolist(), counts.away.tolist(),
+                      (~counts.home_ground).tolist()))
+    first = next(teams[k] for home, away, _ in keys for k in (home, away)
+                 if teams[k] in gone)
     with pytest.raises(ParameterError,
                        match=re.escape(f"counts mention {first!r}")):
         _Problem.from_counts([t for t in teams if t not in gone], counts,

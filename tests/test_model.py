@@ -17,13 +17,13 @@ from scrumrank.model import (
     HomeModel,
     ParameterError,
     Parameters,
+    TeamLogs,
     TryModel,
     VariantConfig,
     expected_points,
     gauge_transform,
     generalized_mean,
     interpret_structural,
-    log_cell_weights,
     normalize_parameters,
     normalize_stack,
     outcome_distribution,
@@ -71,11 +71,11 @@ def _random_params(rng, teams=("A", "B"), variant=DEFAULT_VARIANT):
 
 def _result_log_weights(pi_i, pi_j, params):
     """Kernel log weights of the result block for one home fixture."""
-    logs = {name: math.log(getattr(params, name))
-            for name in ("rho_n", "rho_d")}
-    return log_cell_weights(result_block(), np.array([math.log(pi_i)]),
-                            np.array([math.log(pi_j)]), logs,
-                            np.array([math.log(params.kappa)]), None)[:, 0]
+    logs = TeamLogs.of(dataclasses.replace(params,
+                                           strengths={"A": pi_i, "B": pi_j}),
+                       ["A", "B"])
+    return logs.log_weights(result_block(), np.array([0]), np.array([1]),
+                            np.array([1.0]))[:, 0]
 
 
 def test_result_cells_form_a_distribution():

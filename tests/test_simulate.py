@@ -172,16 +172,16 @@ def test_simulate_season_tabulates_every_fixture():
     assert counts.result.sum() == len(fixtures)
     assert counts.teams == ["A", "B", "C"]
     counts.validate()
-    for pc in counts.pairs.values():
-        assert pc.result.sum() == pc.tries.sum()
+    # every pair's result and try counts cover the same matches
+    assert np.array_equal(counts.result.sum(axis=1),
+                          counts.tries.sum(axis=1))
 
 
 def _counts_equal(left, right):
-    if set(left.pairs) != set(right.pairs):
-        return False
-    return all(np.array_equal(left.pairs[key].result, pc.result)
-               and np.array_equal(left.pairs[key].tries, pc.tries)
-               for key, pc in right.pairs.items())
+    # the rows are sorted, so equal pairs sit in equal rows
+    return left.teams == right.teams and all(
+        np.array_equal(getattr(left, name), getattr(right, name))
+        for name in ("home", "away", "home_ground", "result", "tries"))
 
 
 def test_simulate_season_is_deterministic_per_replicate():
@@ -290,8 +290,10 @@ def test_strong_team_mostly_wins_wide():
     params = _params({"Goliath": 3.0, "Pebble": 1 / 3})
     counts = simulate_season(
         params, [Fixture("Goliath", "Pebble")] * 400, seed=21)
-    pc = counts.pairs[("Goliath", "Pebble", Venue.HOME_GROUND)]
-    assert pc.result[RESULT_INDEX[ResultOutcome.HOME_WIDE]] > 300
+    (row,) = np.flatnonzero(
+        (counts.home == counts.teams.index("Goliath"))
+        & (counts.away == counts.teams.index("Pebble")) & counts.home_ground)
+    assert counts.result[row, RESULT_INDEX[ResultOutcome.HOME_WIDE]] > 300
 
 
 def test_recovery_study_smoke():
