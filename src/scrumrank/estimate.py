@@ -36,21 +36,29 @@ steps reach the gradient tolerance.
 The Hessian comes in two parts. A plan, built once per problem from the
 feature tables, holds what the parameters do not change: the features'
 pairwise products, the slot of every per-pair covariance entry among the
-matrix's non-zero positions, and an elimination order. Each step then
-reuses the cell probabilities of the evaluation at its iterate, forms the
-covariances with two small matrix products per block and sums them per
-slot with one bincount.
+matrix's non-zero entries, an elimination order and where each slot sits
+in the factor's panels. The team-team slots are the schedule graph's
+edges, read from the sorted pairs, and the entries of a structural row or
+column are laid out densely, so every array of the plan grows with the
+played pairs. Each step then reuses the cell probabilities of the
+evaluation at its iterate, forms the covariances with two small matrix
+products per block in scratch space the plan holds, sums them per slot
+with one bincount and scatters the slots into the panels.
 
 A team's parameters interact only with those of the opponents it played,
 so outside the few structural parameters (the border) the Hessian is the
 sparse pattern of the schedule graph. The plan orders the team parameters
 by breadth-first level sets of that graph (Cuthill & McKee 1969), which
 makes the matrix block tridiagonal with the border appended, and each step
-solves for its direction by block elimination (George & Liu 1981): one
-small dense solve per block, so the cost grows with the number of teams
-and the size of a level rather than with the cube of the parameter count.
-With one strength table, a double round robin has a single level beyond
-its first team and plans one block, which is one dense solve.
+solves for its direction by block elimination (George & Liu 1981). Minus
+the Hessian is stored as that book stores it, one panel per elimination
+block: the block's rows over its own columns, the next block's and the
+border's. Each block is one small dense solve against its coupling, whose
+Schur update runs inside the next panel and the border's rows, so the
+cost grows with the number of teams and the size of a level rather than
+with the cube of the parameter count, and the memory with the played
+pairs. With one strength table, a double round robin has a single level
+beyond its first team and plans one block, which is one dense solve.
 
 A problem may hold a stack of outcome tables over the same pairs, such as
 the replicates of a recovery study. Layout, features and plan are then
@@ -188,26 +196,57 @@ class Score:
     kappa: float | None = None
 
 
+class _Features:
+    """One outcome block's local features, as ``_Problem._features``
+    lists them.
+
+    ``exps`` holds each feature's cell exponents (cells x k) and ``slots``
+    its parameter's slot at every pair (k x pairs); a feature that reaches
+    no parameter at a pair (log kappa at a neutral ground) takes the slot
+    past the last one there. The team features come first: each is one
+    per-team table's log at one side of the pair, and ``team`` gives its
+    (table, side), side 0 for the home side's team and 1 for the away
+    side's. The structural features follow.
+    """
+
+    def __init__(self, exps: np.ndarray, slots: np.ndarray,
+                 team: tuple[tuple[int, int], ...]):
+        self.exps, self.slots, self.team = exps, slots, team
+
+
 @dataclass(frozen=True)
 class _HessianPlan:
-    """What ``_Problem.newton_direction`` needs that does not depend on
-    ``x``.
+    """What ``_Problem.factor`` needs that does not depend on ``x``.
 
-    ``positions`` are the sorted flat positions of the Hessian's non-zero
-    entries, the whole diagonal included, and ``prior_slots`` the indices
-    among them of the strengths' diagonal. Each block has its feature
-    table's cell exponents (cells x k), their pairwise products
-    (cells x k*k) and, for every covariance entry (k*k x pairs, flattened),
-    its slot in ``positions``; a dropped entry's slot is ``len(positions)``.
+    The information slots are the Hessian's non-zero entries: the whole
+    diagonal, the entries of teams that met (and of one team's tables that
+    share a pair), and every entry of a border row or column. ``positions``
+    are their flat positions in an n x n matrix in x order, ascending, and
+    ``prior_slots`` the slots of the strengths' diagonal. Each outcome
+    block has its feature table's cell exponents (cells x k), their
+    pairwise products (cells x k*k) and, for every covariance entry (k*k x
+    pairs, flattened), its slot; a dropped entry's slot is
+    ``len(positions)``.
 
     ``order`` lists the x index of each row in elimination order, and
     elimination block ``b`` is rows ``bounds[b]:bounds[b + 1]`` of that
-    order; ``eliminated`` are the flat positions of ``positions`` in an
-    n x (n + 1) matrix in that order, whose last column holds the
-    right-hand side. ``reaches`` hold, for each block but the last, the
-    columns its elimination reads and updates: the next block's, the
-    border's unless the next block is the last (which holds the border),
-    and the right-hand side's.
+    order; ``border`` is the first structural row, the last block's rows
+    from it on are the border. Block ``b`` keeps its rows of minus the
+    Hessian in a panel, ``panels[b]`` = (offset, rows, width) of one flat
+    buffer: the rows over their own columns, the next block's and the
+    border's (the last block's panel is its rows over its own columns). An
+    entry left of a panel mirrors one inside an earlier panel, and no other
+    entry is non-zero, so the panels grow with the played pairs. ``places``
+    gives each slot's index in the buffer, or the buffer's length for a
+    slot no panel holds. ``reaches`` hold, for each block but the last, the
+    rows its coupling columns belong to.
+
+    ``scratch`` is working space for ``_Problem._information``: room for two
+    k*k x pairs arrays of the widest block. Every step reuses it, so a step
+    allocates no array of that size. Arrays that large, allocated and freed
+    at every step, can go back to the system each time and have their pages
+    faulted in again at the next step. The replicates that share a plan are
+    fitted one at a time, so they share the scratch too.
     """
 
     positions: np.ndarray
@@ -215,8 +254,74 @@ class _HessianPlan:
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     order: np.ndarray
     bounds: np.ndarray
-    eliminated: np.ndarray
+    border: int
+    panels: list[tuple[int, int, int]]
+    places: np.ndarray
     reaches: list[np.ndarray]
+    scratch: np.ndarray
+
+
+class _BlockFactor:
+    """Minus the Hessian at one iterate, held in its plan's panels: the
+    flat ``buffer`` that ``_HessianPlan.panels`` divides.
+
+    ``solve`` runs the block elimination of George & Liu (1981) on a copy of
+    the panels, so one factor serves any number of solves.
+    """
+
+    def __init__(self, plan: _HessianPlan, buffer: np.ndarray):
+        self.plan, self.buffer = plan, buffer
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``d`` with ``-H d = b``, for one right-hand side (n) or a matrix
+        of them (n x k).
+
+        Each block but the last solves its own columns against its coupling
+        to the next block and the border, stacked with its right-hand
+        sides; the coupling then updates the next block's panel, the
+        border's rows and the right-hand sides they hold. The last block,
+        which holds the border, is solved directly and the earlier ones are
+        back-substituted. With one block this is one dense solve.
+        ``np.linalg.LinAlgError`` means a singular block.
+        """
+        plan = self.plan
+        bounds, n = plan.bounds, len(plan.order)
+        buffer = self.buffer.copy()
+        panels = [buffer[at:at + rows * width].reshape(rows, width)
+                  for at, rows, width in plan.panels]
+        last = panels[-1]
+        tail = plan.border - bounds[-2]  # the border's first row in last
+        rhs = np.asarray(b, dtype=float)[plan.order]
+        stacked = rhs.reshape(n, -1)  # a view: updates reach rhs
+        steps = []
+        for block, reach in enumerate(plan.reaches):
+            lo, hi = bounds[block], bounds[block + 1]
+            own = hi - lo
+            coupling = panels[block][:, own:]
+            width = coupling.shape[1]
+            solved = np.linalg.solve(panels[block][:, :own], np.concatenate(
+                [coupling, stacked[lo:hi]], axis=1))
+            update = coupling.T @ solved
+            if block + 2 == len(panels):  # the next panel is the last
+                last -= update[:, :width]
+            else:
+                ahead = bounds[block + 2] - hi
+                following = panels[block + 1]
+                following[:, :ahead] -= update[:ahead, :ahead]
+                following[:, following.shape[1] - width + ahead:] -= \
+                    update[:ahead, ahead:width]
+                last[tail:, tail:] -= update[ahead:, ahead:width]
+            stacked[reach] -= update[:, width:]
+            steps.append((lo, hi, reach, solved[:, :width],
+                          solved[:, width:].reshape(rhs[lo:hi].shape)))
+        lo = bounds[-2]
+        y = np.empty_like(rhs)
+        y[lo:] = np.linalg.solve(last, rhs[lo:])
+        for lo, hi, reach, coupled, part in reversed(steps):
+            y[lo:hi] = part - coupled @ y[reach]
+        d = np.empty_like(y)
+        d[plan.order] = y
+        return d
 
 
 def _elimination_blocks(rows: np.ndarray, cols: np.ndarray, n: int,
@@ -225,17 +330,21 @@ def _elimination_blocks(rows: np.ndarray, cols: np.ndarray, n: int,
     ``n_border`` parameters (the border) may couple to every other one.
 
     The other parameters form a graph through the non-zero entries at
-    ``rows`` and ``cols``. Its breadth-first level sets, each search
-    started from the lowest unvisited parameter so that every component is
-    covered in turn, are merged in sequence until a block holds at least
-    ``n_border`` parameters; the border joins the last block. An edge of a
-    breadth-first search joins the same or adjacent levels, so outside the
-    border the matrix is block tridiagonal in this order. Parameters keep
-    their x order within a block.
+    ``rows`` and ``cols``, sorted by row. Its breadth-first level sets,
+    each search started from the lowest unvisited parameter so that every
+    component is covered in turn, are merged in sequence until a block
+    holds at least ``n_border`` parameters; the border joins the last
+    block. An edge of a breadth-first search joins the same or adjacent
+    levels, so outside the border the matrix is block tridiagonal in this
+    order. Parameters keep their x order within a block.
+
+    The graph is held once in compressed-row form, and each level expands
+    only its own rows, so the search reads every edge once.
     """
     n_graph = n - n_border
     edge = (rows < n_graph) & (cols < n_graph)
-    rows, cols = rows[edge], cols[edge]
+    indptr = np.searchsorted(rows[edge], np.arange(n_graph + 1))
+    indices = cols[edge]
     visited = np.zeros(n_graph, dtype=bool)
     levels = []
     while not visited.all():
@@ -243,11 +352,12 @@ def _elimination_blocks(rows: np.ndarray, cols: np.ndarray, n: int,
         while level.size:
             visited[level] = True
             levels.append(level)
-            in_level = np.zeros(n_graph, dtype=bool)
-            in_level[level] = True
-            reached = np.zeros(n_graph, dtype=bool)
-            reached[cols[in_level[rows]]] = True
-            level = np.flatnonzero(reached & ~visited)
+            first = indptr[level]
+            count = indptr[level + 1] - first
+            runs = np.repeat(first - np.cumsum(count) + count, count)
+            reached = indices[runs + np.arange(len(runs))]
+            level = np.sort(reached[~visited[reached]])
+            level = level[np.diff(level, prepend=-1) != 0]
     blocks, pending = [], []
     for level in levels:
         pending.append(level)
@@ -259,6 +369,37 @@ def _elimination_blocks(rows: np.ndarray, cols: np.ndarray, n: int,
     order = np.concatenate(blocks + [np.arange(n_graph, n)])
     sizes = [len(block) for block in blocks[:-1]]
     return order, np.array([0, *np.cumsum(sizes, dtype=int), n])
+
+
+def _panels(positions: np.ndarray, order: np.ndarray, bounds: np.ndarray,
+            border: int) -> tuple[list[tuple[int, int, int]], np.ndarray,
+                                  list[np.ndarray]]:
+    """The panels, the slots' places and the reaches of ``_HessianPlan``
+    for the non-zero entries at ``positions`` of an n x n matrix, eliminated
+    in ``order`` by the blocks at ``bounds``; rows from ``border`` on are
+    the border."""
+    n = len(order)
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    lows, sizes = bounds[:-1], np.diff(bounds)
+    tops = np.append(bounds[2:], n)  # where each block's reach ends
+    widths = tops - lows + np.where(tops < n, n - border, 0)
+    offsets = np.concatenate([[0], np.cumsum(sizes * widths)])
+    row, col = np.divmod(positions, n)
+    row, col = rank[row], rank[col]
+    block = np.searchsorted(bounds, row, side="right") - 1
+    lo, top = lows[block], tops[block]
+    places = np.where(
+        (col >= lo) & ((col < top) | (col >= border)),
+        offsets[block] + (row - lo) * widths[block]
+        + np.where(col < top, col - lo, top - lo + col - border),
+        offsets[-1])
+    panels = list(zip(offsets[:-1].tolist(), sizes.tolist(),
+                      widths.tolist()))
+    reaches = [np.arange(hi, n) if end == n
+               else np.concatenate([np.arange(hi, end), np.arange(border, n)])
+               for hi, end in zip(bounds[1:-1], tops[:-1])]
+    return panels, places, reaches
 
 
 class _Problem:
@@ -406,28 +547,31 @@ class _Problem:
                                      * np.logaddexp(0.0, alpha)).sum())
         return value, flat, weights
 
-    def _features(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each block's features' cell exponents (cells x k) and their
-        parameters' slots per pair (k x pairs), built on first use and kept.
+    def _features(self) -> list[_Features]:
+        """Each block's features, built on first use and kept.
 
-        The features are each side's log strength, both log defences, the
-        free structural logs and log kappa. The slots run over every
-        per-team log (the pinned one too), the free structural logs and a
-        slot for no parameter, which log kappa takes at a neutral ground.
+        The team features are each side's log strength and both log
+        defences; the structural ones are the free structural logs and log
+        kappa. The slots run over every per-team log (the pinned one too),
+        the free structural logs and a slot for no parameter, which log
+        kappa takes at a neutral ground.
         """
         if self._table is not None:
             return self._table
-        layout, team = self.layout, self._tables(np.arange(self.n_team))
+        layout = self.layout
+        tables = {name: t for t, name in enumerate(layout.tables)}
         struct = {name: self.n_team + k
                   for k, name in enumerate(self.free_structural)}
+        sides = (self.i_idx, self.j_idx)
         self._table = []
         for block, _, _ in self.block_data:
-            features = [(block.home_points, team[layout.home][self.i_idx]),
-                        (block.away_points, team[layout.away][self.j_idx])]
+            team = [(block.home_points, tables[layout.home], 0),
+                    (block.away_points, tables[layout.away], 1)]
             if block.defence_exp is not None:
-                defence = team[layout.defence]
-                features += [(block.defence_exp, defence[self.i_idx]),
-                             (block.defence_exp, defence[self.j_idx])]
+                team += [(block.defence_exp, tables[layout.defence], side)
+                         for side in (0, 1)]
+            features = [(exps, table * self.m + sides[side])
+                        for exps, table, side in team]
             features += [(exps, np.full(len(self.i_idx), struct[name]))
                          for name, exps in block.structural.items()
                          if name in struct]
@@ -436,16 +580,19 @@ class _Problem:
                 features.append((block.kappa_exp,
                                  np.where(self.home_mask > 0, struct["kappa"],
                                           self.n_team + len(struct))))
-            self._table.append((np.stack([f[0] for f in features], axis=1),
-                                np.stack([f[1] for f in features])))
+            self._table.append(_Features(
+                np.stack([f[0] for f in features], axis=1),
+                np.stack([f[1] for f in features]),
+                tuple((table, side) for _, table, side in team)))
         return self._table
 
     def _first_moments(self, cells: Sequence[np.ndarray]) -> np.ndarray:
         """Per slot, the sum over blocks, pairs and cells of the feature
         exponents times ``cells``, a cells x pairs array per block."""
         sums = np.zeros(self.n_team + len(self.free_structural) + 1)
-        for (exps, slots), per_cell in zip(self._features(), cells):
-            sums += np.bincount(slots.ravel(), (exps.T @ per_cell).ravel(),
+        for features, per_cell in zip(self._features(), cells):
+            sums += np.bincount(features.slots.ravel(),
+                                (features.exps.T @ per_cell).ravel(),
                                 len(sums))
         return sums
 
@@ -456,9 +603,9 @@ class _Problem:
     def evaluate(self, x: np.ndarray
                  ) -> tuple[float, np.ndarray, list[np.ndarray]]:
         """Log likelihood, its gradient and each block's cell probabilities
-        at ``x``; ``newton_direction`` takes the probabilities for the same
-        ``x``. The gradient is the first moment of the features' observed
-        minus expected counts, plus the prior's."""
+        at ``x``; ``factor`` takes the probabilities for the same ``x``.
+        The gradient is the first moment of the features' observed minus
+        expected counts, plus the prior's."""
         value, flat, weights = self._likelihood(x)
         probs = [np.exp(lw - log_z[None, :]) for lw, log_z in weights]
         g = self._first_moments([obs - mvec[None, :] * p for (_, obs, mvec), p
@@ -472,106 +619,152 @@ class _Problem:
         """The part of the Hessian that does not depend on ``x``.
 
         Built on first use and kept for the problem's lifetime; a fit that
-        stops before its first step never builds it.
+        stops before its first step never builds it. Every array it builds
+        grows with the played pairs.
+
+        The team-team slots are found as candidates: the entries between
+        any two tables' logs of a team and of each team it met or itself,
+        which the schedule graph's sorted neighbour lists enumerate row by
+        row. A team feature pair of a block marks the candidates it
+        reaches, and the marked ones, with the diagonal, become slots in
+        that order. Each team row then holds its border entries, and the
+        border rows hold every entry, so every slot's place follows from
+        the counts.
         """
         if self._plan is not None:
             return self._plan
-        n = self.n_free
-        planned = []  # (exps, products, flat) per block
-        for exps, slots in self._features():
-            pos = slots - self.pinned  # x positions; those outside x drop
-            kept = (pos >= 0) & (pos < n)
-            k = len(pos)
-            # flat matrix position of each covariance entry; n * n if dropped
-            flat = np.where(kept[:, None, :] & kept[None, :, :],
-                            pos[:, None, :] * n + pos[None, :, :], n * n)
-            products = (exps[:, :, None] * exps[:, None, :]).reshape(-1, k * k)
-            planned.append((exps, products, flat.reshape(-1)))
-        present = np.zeros(n * n + 1, dtype=bool)
-        diagonal = np.arange(n) * (n + 1)
-        present[diagonal] = True
-        for *_, flat in planned:
-            present[flat] = True
-        positions = np.flatnonzero(present[:-1])
-        slot = np.full(n * n + 1, len(positions))  # dropped: the last slot
-        slot[positions] = np.arange(len(positions))
-        rows, cols = np.divmod(positions, n)
-        border = n - len(self.free_structural)
-        order, bounds = _elimination_blocks(rows, cols, n,
-                                            len(self.free_structural))
-        rank = np.empty(n, dtype=int)
-        rank[order] = np.arange(n)
-        reaches = [np.arange(hi, n + 1) if top == n
-                   else np.r_[hi:top, border:n + 1]
-                   for hi, top in zip(bounds[1:-1], bounds[2:])]
+        m, n, pinned = self.m, self.n_free, self.pinned
+        n_struct = len(self.free_structural)
+        border = n - n_struct
+        n_tables = len(self.layout.tables)
+        sides = np.stack([self.i_idx, self.j_idx])
+        # the schedule graph's arcs and each team's loop, ascending: team
+        # u's neighbours and itself are arcs[start[u]:start[u + 1]] % m
+        arcs = np.sort(np.concatenate([sides[0] * m + sides[1],
+                                       sides[1] * m + sides[0],
+                                       np.arange(m) * (m + 1)]))
+        arcs = arcs[np.diff(arcs, prepend=-1) != 0]
+        start = np.searchsorted(arcs, np.arange(m + 1) * m)
+        degree = np.diff(start)
+        itself = np.searchsorted(arcs, np.arange(m) * (m + 1)) - start[:-1]
+        # near[a, b]: the index of side b's team among side a's neighbours
+        other = np.searchsorted(arcs, sides * m + sides[::-1]) - start[sides]
+        near = np.array([[itself[sides[0]], other[0]],
+                         [other[1], itself[sides[1]]]])
+        # candidate of (table t, team u) x (table t2, u's c-th neighbour):
+        # first[t * m + u] + t2 * degree[u] + c
+        first = np.concatenate(
+            [[0], np.cumsum(np.tile(degree * n_tables, n_tables))])
+        full = np.arange(self.n_team)  # every per-team log, pinned or not
+        diagonal = (first[full] + full // m * degree[full % m]
+                    + itself[full % m])
+        hit = np.zeros(first[-1], dtype=bool)
+        hit[diagonal] = True
+        reached = []  # per block, the candidate of each team feature pair
+        for features in self._features():
+            table, side = np.array(features.team).T
+            owner = sides[side]  # each team feature's team at every pair
+            found = (first[table[:, None] * m + owner][:, None]
+                     + table[None, :, None] * degree[owner][:, None]
+                     + near[side[:, None], side[None, :]])
+            hit[found] = True
+            reached.append(found)
+        marked = np.flatnonzero(hit)
+        row = np.searchsorted(first, marked, side="right") - 1
+        u = row % m
+        table, c = np.divmod(marked - first[row], degree[u])
+        col = table * m + arcs[start[u] + c] % m
+        kept = (row >= pinned) & (col >= pinned)  # the pinned log is x's -1
+        rows, cols = row[kept] - pinned, col[kept] - pinned
+        # slots: each team row's team entries, then its border entries;
+        # then the border rows, each over every column
+        tt_slots = np.arange(len(rows)) + rows * n_struct
+        tb_first = (np.cumsum(np.bincount(rows, minlength=border))
+                    + np.arange(border) * n_struct)
+        base = len(rows) + border * n_struct
+        positions = np.empty(base + n_struct * n, dtype=np.int64)
+        positions[tt_slots] = rows * n + cols
+        positions[tb_first[:, None] + np.arange(n_struct)] = \
+            np.arange(border)[:, None] * n + np.arange(border, n)
+        positions[base:] = np.arange(border * n, n * n)
+        dropped = len(positions)
+        candidate_slot = np.full(len(hit), dropped)
+        candidate_slot[marked[kept]] = tt_slots
+
+        order, bounds = _elimination_blocks(rows, cols, n, n_struct)
+        panels, places, reaches = _panels(positions, order, bounds, border)
+        blocks = []
+        for features, found in zip(self._features(), reached):
+            k, n_team_features = len(features.slots), len(found)
+            team_x = features.slots[:n_team_features] - pinned  # pinned: -1
+            # each structural feature's level, n_struct where it has none
+            level = features.slots[n_team_features:] - self.n_team
+            on_team, on_level = team_x >= 0, level < n_struct
+            targets = np.empty((k, k, len(self.i_idx)), dtype=int)
+            targets[:n_team_features, :n_team_features] = \
+                candidate_slot[found]
+            targets[:n_team_features, n_team_features:] = np.where(
+                on_team[:, None] & on_level,
+                tb_first[team_x][:, None] + level, dropped)
+            targets[n_team_features:, :n_team_features] = np.where(
+                on_level[:, None] & on_team,
+                base + level[:, None] * n + team_x, dropped)
+            targets[n_team_features:, n_team_features:] = np.where(
+                on_level[:, None] & on_level,
+                base + level[:, None] * n + border + level, dropped)
+            products = (features.exps[:, :, None]
+                        * features.exps[:, None, :]).reshape(-1, k * k)
+            blocks.append((features.exps, products, targets.ravel()))
+        widest = max(products.shape[1] for _, products, _ in blocks)
         self._plan = _HessianPlan(
-            positions, slot[diagonal[:self.n_strength - self.pinned]],
-            [(exps, products, slot[flat]) for exps, products, flat in planned],
-            order, bounds, rank[rows] * (n + 1) + rank[cols], reaches)
+            positions, candidate_slot[diagonal[pinned:self.n_strength]],
+            blocks, order, bounds, border, panels, places, reaches,
+            np.empty(2 * widest * len(self.i_idx)))
         return self._plan
 
     def _information(self, x: np.ndarray,
                      probs: Sequence[np.ndarray]) -> np.ndarray:
-        """Minus the Hessian's entries at the plan's positions.
+        """Minus the Hessian's entries at the plan's slots.
 
         A pair's block adds the count-weighted covariance of its features
         under its cell probabilities: ``probs``, as ``evaluate`` returns
         them at the same ``x``.
 
-        The second moments and means take two matrix products per block;
-        one bincount sums the covariance entries per slot, and the prior
-        adds its curvature to the strengths' diagonal.
+        The second moments and means take two matrix products per block,
+        formed in the plan's scratch; one bincount sums the covariance
+        entries per slot, and the prior adds its curvature to the strengths'
+        diagonal.
         """
         plan = self._hessian_plan()
         sums = np.zeros(len(plan.positions) + 1)
-        for (_, _, mvec), (exps, products, slots), p in zip(
+        for (_, _, mvec), (exps, products, targets), p in zip(
                 self.block_data, plan.blocks, probs):
-            k = exps.shape[1]
+            k, pairs = exps.shape[1], p.shape[1]
             mean = exps.T @ p  # k x pairs
-            cov = products.T @ (p * mvec[None, :]) \
-                - (mean[:, None, :] * mean[None, :, :]).reshape(k * k, -1) \
-                * mvec[None, :]
-            sums += np.bincount(slots, cov.ravel(), len(sums))
+            cov, outer = plan.scratch[:2 * k * k * pairs].reshape(2, k * k,
+                                                                  pairs)
+            np.matmul(products.T, p * mvec[None, :], out=cov)
+            np.multiply(mean[:, None, :], mean[None, :, :],
+                        out=outer.reshape(k, k, pairs))
+            outer *= mvec[None, :]
+            cov -= outer
+            sums += np.bincount(targets, cov.ravel(), len(sums))
         if self.w > 0:
             p = _logistic(x[:self.n_strength - self.pinned])
             sums[plan.prior_slots] += 2.0 * self.w * p * (1.0 - p)
         return sums[:-1]
 
-    def newton_direction(self, x: np.ndarray, g: np.ndarray,
-                         probs: Sequence[np.ndarray]) -> np.ndarray:
-        """Solve ``-H d = g`` by block elimination in the plan's order.
-
-        Minus the Hessian is scattered in elimination order, so each block
-        is a contiguous slice. Outside the border, a block couples only to
-        its neighbours; each block's Schur complement is solved once against
-        its coupling to the next block and the border, stacked with its
-        right-hand side, and that coupling updates the rows it reaches. The
-        last block, which holds the border, is solved directly and the
-        earlier ones are back-substituted. With one block this is one dense
-        solve. ``np.linalg.LinAlgError`` means a singular block.
-        """
+    def factor(self, x: np.ndarray,
+               probs: Sequence[np.ndarray]) -> _BlockFactor:
+        """Minus the Hessian at ``x``, under ``probs`` as ``evaluate``
+        returns them there, scattered from its slots into the plan's
+        panels."""
         plan = self._hessian_plan()
-        n = self.n_free
-        # formed before the dense matrix, so their temporaries never overlap
         information = self._information(x, probs)
-        a = np.zeros(n * (n + 1))
-        a[plan.eliminated] = information
-        a = a.reshape(n, n + 1)
-        a[:, n] = g[plan.order]
-        steps = []
-        for lo, hi, reach in zip(plan.bounds, plan.bounds[1:], plan.reaches):
-            coupling = a[lo:hi, reach]
-            solved = np.linalg.solve(a[lo:hi, lo:hi], coupling)
-            a[np.ix_(reach[:-1], reach)] -= coupling[:, :-1].T @ solved
-            steps.append((lo, hi, reach[:-1], solved))
-        lo = plan.bounds[-2]
-        y = np.empty(n)
-        y[lo:] = np.linalg.solve(a[lo:, lo:n], a[lo:, n])
-        for lo, hi, reach, solved in reversed(steps):
-            y[lo:hi] = solved[:, -1] - solved[:, :-1] @ y[reach]
-        d = np.empty(n)
-        d[plan.order] = y
-        return d
+        at, rows, width = plan.panels[-1]
+        buffer = np.zeros(at + rows * width + 1)
+        buffer[plan.places] = information
+        return _BlockFactor(plan, buffer[:-1])
 
     # ---- reporting ----
 
@@ -677,7 +870,7 @@ def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
             message = f"step budget of {maxiter} used up"
             break
         try:
-            d = problem.newton_direction(x, g, probs)
+            d = problem.factor(x, probs).solve(g)
         except np.linalg.LinAlgError:
             message = "singular Hessian"
             break

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -828,8 +829,140 @@ def test_block_direction_equals_a_dense_solve(schedule, variant, weight,
     x = np.random.default_rng(47).normal(0.0, 0.5, problem.n_free)
     _, g, probs = problem.evaluate(x)
     dense = np.linalg.solve(-_dense_hessian(problem, x, probs), g)
-    direction = problem.newton_direction(x, g, probs)
+    direction = problem.factor(x, probs).solve(g)
     assert np.abs(direction - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+@pytest.mark.parametrize("weight, freeze, pin_first", GAUGES)
+def test_factor_solves_many_right_hand_sides(schedule, variant, weight,
+                                             freeze, pin_first):
+    counts = SCHEDULES[schedule](variant)
+    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+                                   DEFAULT_POINTS, freeze=freeze,
+                                   pin_first=pin_first)
+    assert len(problem._hessian_plan().bounds) - 1 >= 2
+    rng = np.random.default_rng(61)
+    x = rng.normal(0.0, 0.5, problem.n_free)
+    _, _, probs = problem.evaluate(x)
+    rhs = rng.normal(0.0, 1.0, (problem.n_free, 4))
+    solved = problem.factor(x, probs).solve(rhs)
+    assert solved.shape == rhs.shape
+    hessian = _dense_hessian(problem, x, probs)
+    for k in range(rhs.shape[1]):
+        dense = np.linalg.solve(-hessian, rhs[:, k])
+        assert np.abs(solved[:, k] - dense).max() \
+            <= 1e-10 * np.abs(dense).max()
+
+
+def _breadth_first_blocks(rows, cols, n, n_border):
+    """Elimination order and bounds by a plain breadth-first search: the
+    level sets of each component in turn, from its lowest parameter,
+    merged until a block holds n_border parameters."""
+    n_graph = n - n_border
+    neighbours = {v: set() for v in range(n_graph)}
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if r < n_graph and c < n_graph:
+            neighbours[r].add(c)
+    visited, levels = set(), []
+    for seed in range(n_graph):
+        level = [] if seed in visited else [seed]
+        while level:
+            visited.update(level)
+            levels.append(level)
+            level = sorted({c for v in level for c in neighbours[v]}
+                           - visited)
+    blocks, pending = [], []
+    for level in levels:
+        pending += level
+        if len(pending) >= n_border:
+            blocks.append(sorted(pending))
+            pending = []
+    if pending:
+        blocks.append(sorted(pending))
+    order = [v for block in blocks for v in block] + list(range(n_graph, n))
+    bounds = [0]
+    for block in blocks[:-1]:
+        bounds.append(bounds[-1] + len(block))
+    return order, bounds + [n]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+@pytest.mark.parametrize("weight, freeze, pin_first", GAUGES)
+def test_elimination_blocks_match_a_plain_breadth_first_search(
+        schedule, variant, weight, freeze, pin_first):
+    counts = SCHEDULES[schedule](variant)
+    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+                                   DEFAULT_POINTS, freeze=freeze,
+                                   pin_first=pin_first)
+    plan = problem._hessian_plan()
+    n, n_border = problem.n_free, len(problem.free_structural)
+    rows, cols = np.divmod(plan.positions, n)
+    order, bounds = _breadth_first_blocks(rows, cols, n, n_border)
+    assert plan.order.tolist() == order
+    assert plan.bounds.tolist() == bounds
+    # without a border every level is a block of its own
+    order, bounds = estimate._elimination_blocks(rows, cols, n, 0)
+    assert (order.tolist(), bounds.tolist()) \
+        == _breadth_first_blocks(rows, cols, n, 0)
+
+
+def _offset_ring(teams: int) -> OutcomeCounts:
+    """A season on a ring in which each team meets the teams 1, 2, 3, 5, 8
+    and 13 places on, once at home and once away."""
+    names = [f"R{k:04d}" for k in range(teams)]
+    fixtures = [Fixture(names[p], names[(p + d) % teams])
+                for d in (1, 2, 3, 5, 8, 13) for p in range(teams)]
+    fixtures += [Fixture(f.away_team, f.home_team) for f in fixtures]
+    truth = _random_params(np.random.default_rng(67), names, DEFAULT_VARIANT)
+    return simulate_season(truth, fixtures, seed=7)
+
+
+def test_newton_step_memory_grows_with_the_played_pairs():
+    # The plan and a direction hold arrays sized by the pairs; an array of
+    # n x n entries would make the peak per pair grow fourfold here.
+    per_pair = []
+    for teams in (500, 2000):
+        counts = _offset_ring(teams)
+        problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
+                                       1.0, DEFAULT_POINTS)
+        x = np.zeros(problem.n_free)
+        _, g, probs = problem.evaluate(x)
+        tracemalloc.start()
+        try:
+            problem.factor(x, probs).solve(g)  # builds the plan too
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_pair.append(peak / len(counts.home))
+    assert per_pair[1] <= 1.5 * per_pair[0]
+
+
+def test_a_later_newton_step_allocates_no_covariance_sized_array():
+    # The covariances are formed in the plan's scratch. Allocating and
+    # freeing them anew at every step makes the allocator return their
+    # pages to the system and fault them in again at the next step.
+    counts = _offset_ring(500)
+    problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
+                                   1.0, DEFAULT_POINTS)
+    x = np.zeros(problem.n_free)
+    _, g, probs = problem.evaluate(x)
+    problem.factor(x, probs).solve(g)  # builds the plan
+    widest = max(products.shape[1]
+                 for _, products, _ in problem._hessian_plan().blocks)
+    tracemalloc.start()
+    try:
+        problem.factor(x, probs).solve(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < widest * len(counts.home) * 8  # one k*k x pairs array
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
