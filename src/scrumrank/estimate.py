@@ -34,16 +34,19 @@ probabilities the gradient uses, plus the prior's diagonal. A handful of
 steps reach the gradient tolerance.
 
 The Hessian comes in two parts. A plan, built once per problem from the
-feature tables, holds what the parameters do not change: the features'
-pairwise products, the slot of every per-pair covariance entry among the
-matrix's non-zero entries, an elimination order and where each slot sits
-in the factor's panels. The team-team slots are the schedule graph's
+feature tables, holds what the parameters do not change: the products of
+the features taken two at a time, the slot of every per-pair covariance
+entry among the matrix's non-zero entries, an elimination order and where
+each slot sits in the factor's panels. The matrix is symmetric, so a slot
+is one unordered pair of entries and only the feature pairs on or right of
+the diagonal are formed. The team-team slots are the schedule graph's
 edges, read from the sorted pairs, and the entries of a structural row or
 column are laid out densely, so every array of the plan grows with the
 played pairs. Each step then reuses the cell probabilities of the
-evaluation at its iterate, forms the covariances with two small matrix
-products per block in scratch space the plan holds, sums them per slot
-with one bincount and scatters the slots into the panels.
+evaluation at its iterate, forms the covariances with one small matrix
+product per block in scratch space the plan holds, subtracts the mean
+products there in place, sums them per slot with one bincount, scatters
+the slots into the panels and mirrors the panels' diagonal blocks.
 
 A team's parameters interact only with those of the opponents it played,
 so outside the few structural parameters (the border) the Hessian is the
@@ -218,15 +221,18 @@ class _Features:
 class _HessianPlan:
     """What ``_Problem.factor`` needs that does not depend on ``x``.
 
-    The information slots are the Hessian's non-zero entries: the whole
-    diagonal, the entries of teams that met (and of one team's tables that
-    share a pair), and every entry of a border row or column. ``positions``
-    are their flat positions in an n x n matrix in x order, ascending, and
+    The Hessian is symmetric, so each information slot is one unordered
+    pair {r, c} of its non-zero entries: the whole diagonal, the entries of
+    teams that met (and of one team's tables that share a pair), and every
+    entry of a border row or column. ``positions`` are their flat positions
+    r * n + c in an n x n matrix in x order with r <= c, ascending, and
     ``prior_slots`` the slots of the strengths' diagonal. Each outcome
-    block has its feature table's cell exponents (cells x k), their
-    pairwise products (cells x k*k) and, for every covariance entry (k*k x
-    pairs, flattened), its slot; a dropped entry's slot is
-    ``len(positions)``.
+    block has its feature table's cell exponents (cells x k), the products
+    of each feature pair on or right of the diagonal, row by row (cells x
+    k(k+1)/2), and each pair's slot at every pair of teams (k(k+1)/2 x
+    pairs, flattened), ``targets``; a dropped entry's slot is
+    ``len(positions)``. Both orders of two features reach the same slot,
+    so the lower feature pairs are left out.
 
     ``order`` lists the x index of each row in elimination order, and
     elimination block ``b`` is rows ``bounds[b]:bounds[b + 1]`` of that
@@ -234,19 +240,24 @@ class _HessianPlan:
     from it on are the border. Block ``b`` keeps its rows of minus the
     Hessian in a panel, ``panels[b]`` = (offset, rows, width) of one flat
     buffer: the rows over their own columns, the next block's and the
-    border's (the last block's panel is its rows over its own columns). An
-    entry left of a panel mirrors one inside an earlier panel, and no other
-    entry is non-zero, so the panels grow with the played pairs. ``places``
-    gives each slot's index in the buffer, or the buffer's length for a
-    slot no panel holds. ``reaches`` hold, for each block but the last, the
-    rows its coupling columns belong to.
+    border's (the last block's panel is its rows over its own columns). A
+    slot sits in the panel of whichever of its row and column comes first
+    in elimination order, at the other's column, so every slot has one
+    place in a panel, and ``places`` gives each slot's index in the buffer.
+    The panels grow with the played pairs. A block's own columns form a
+    square that its solve reads whole: ``upper`` lists the places of the
+    off-diagonal entries inside those squares, and ``lower`` the places of
+    their mirrors below the diagonal, which a factor copies them to.
+    ``reaches`` hold, for each block but the last, the rows its coupling
+    columns belong to.
 
-    ``scratch`` is working space for ``_Problem._information``: room for two
-    k*k x pairs arrays of the widest block. Every step reuses it, so a step
-    allocates no array of that size. Arrays that large, allocated and freed
-    at every step, can go back to the system each time and have their pages
-    faulted in again at the next step. The replicates that share a plan are
-    fitted one at a time, so they share the scratch too.
+    ``scratch`` is working space for ``_Problem._information``: room for
+    the k(k+1)/2 x pairs covariances of the widest block. Every step reuses
+    it, so a step allocates no array of that size. Arrays that large,
+    allocated and freed at every step, can go back to the system each time
+    and have their pages faulted in again at the next step. The replicates
+    that share a plan are fitted one at a time, so they share the scratch
+    too.
     """
 
     positions: np.ndarray
@@ -257,6 +268,8 @@ class _HessianPlan:
     border: int
     panels: list[tuple[int, int, int]]
     places: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     reaches: list[np.ndarray]
     scratch: np.ndarray
 
@@ -373,11 +386,11 @@ def _elimination_blocks(rows: np.ndarray, cols: np.ndarray, n: int,
 
 def _panels(positions: np.ndarray, order: np.ndarray, bounds: np.ndarray,
             border: int) -> tuple[list[tuple[int, int, int]], np.ndarray,
-                                  list[np.ndarray]]:
-    """The panels, the slots' places and the reaches of ``_HessianPlan``
-    for the non-zero entries at ``positions`` of an n x n matrix, eliminated
-    in ``order`` by the blocks at ``bounds``; rows from ``border`` on are
-    the border."""
+                                  np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The panels, places, mirror and reaches of ``_HessianPlan`` for the
+    non-zero entries at ``positions`` of a symmetric n x n matrix, one of
+    each mirrored pair, eliminated in ``order`` by the blocks at ``bounds``;
+    rows from ``border`` on are the border."""
     n = len(order)
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
@@ -387,19 +400,19 @@ def _panels(positions: np.ndarray, order: np.ndarray, bounds: np.ndarray,
     offsets = np.concatenate([[0], np.cumsum(sizes * widths)])
     row, col = np.divmod(positions, n)
     row, col = rank[row], rank[col]
+    row, col = np.minimum(row, col), np.maximum(row, col)
     block = np.searchsorted(bounds, row, side="right") - 1
-    lo, top = lows[block], tops[block]
-    places = np.where(
-        (col >= lo) & ((col < top) | (col >= border)),
-        offsets[block] + (row - lo) * widths[block]
-        + np.where(col < top, col - lo, top - lo + col - border),
-        offsets[-1])
+    lo, top, width = lows[block], tops[block], widths[block]
+    places = offsets[block] + (row - lo) * width + np.where(
+        col < top, col - lo, top - lo + col - border)
+    inner = (col < bounds[block + 1]) & (row != col)
+    lower = (offsets[block] + (col - lo) * width + row - lo)[inner]
     panels = list(zip(offsets[:-1].tolist(), sizes.tolist(),
                       widths.tolist()))
     reaches = [np.arange(hi, n) if end == n
                else np.concatenate([np.arange(hi, end), np.arange(border, n)])
                for hi, end in zip(bounds[1:-1], tops[:-1])]
-    return panels, places, reaches
+    return panels, places, lower, places[inner], reaches
 
 
 class _Problem:
@@ -622,14 +635,17 @@ class _Problem:
         stops before its first step never builds it. Every array it builds
         grows with the played pairs.
 
-        The team-team slots are found as candidates: the entries between
+        The team-team entries are found as candidates: the entries between
         any two tables' logs of a team and of each team it met or itself,
         which the schedule graph's sorted neighbour lists enumerate row by
-        row. A team feature pair of a block marks the candidates it
-        reaches, and the marked ones, with the diagonal, become slots in
-        that order. Each team row then holds its border entries, and the
-        border rows hold every entry, so every slot's place follows from
-        the counts.
+        row. Each ordered pair of a block's team features marks the
+        candidates it reaches, so the marked ones, with the diagonal, are
+        the team-team entries in both orientations: the graph the
+        elimination order is searched on. Those on or right of the diagonal
+        become slots in that order, each team row followed by its border
+        entries, then the border rows on and right of the diagonal, so
+        every slot's place follows from the counts. A candidate's slot is
+        its upper orientation's.
         """
         if self._plan is not None:
             return self._plan
@@ -655,20 +671,25 @@ class _Problem:
         # first[t * m + u] + t2 * degree[u] + c
         first = np.concatenate(
             [[0], np.cumsum(np.tile(degree * n_tables, n_tables))])
+
+        def candidates(features: _Features, a: int, b: int) -> np.ndarray:
+            """The candidate team features ``a`` and ``b`` reach at every
+            pair, in row ``a``'s log."""
+            (table, side), (table_b, side_b) = features.team[a], \
+                features.team[b]
+            owner = sides[side]
+            return (first[table * m + owner] + table_b * degree[owner]
+                    + near[side, side_b])
+
         full = np.arange(self.n_team)  # every per-team log, pinned or not
         diagonal = (first[full] + full // m * degree[full % m]
                     + itself[full % m])
         hit = np.zeros(first[-1], dtype=bool)
         hit[diagonal] = True
-        reached = []  # per block, the candidate of each team feature pair
         for features in self._features():
-            table, side = np.array(features.team).T
-            owner = sides[side]  # each team feature's team at every pair
-            found = (first[table[:, None] * m + owner][:, None]
-                     + table[None, :, None] * degree[owner][:, None]
-                     + near[side[:, None], side[None, :]])
-            hit[found] = True
-            reached.append(found)
+            for a in range(len(features.team)):
+                for b in range(len(features.team)):
+                    hit[candidates(features, a, b)] = True
         marked = np.flatnonzero(hit)
         row = np.searchsorted(first, marked, side="right") - 1
         u = row % m
@@ -676,50 +697,56 @@ class _Problem:
         col = table * m + arcs[start[u] + c] % m
         kept = (row >= pinned) & (col >= pinned)  # the pinned log is x's -1
         rows, cols = row[kept] - pinned, col[kept] - pinned
-        # slots: each team row's team entries, then its border entries;
-        # then the border rows, each over every column
-        tt_slots = np.arange(len(rows)) + rows * n_struct
-        tb_first = (np.cumsum(np.bincount(rows, minlength=border))
+        order, bounds = _elimination_blocks(rows, cols, n, n_struct)
+        right = rows <= cols  # on or right of the diagonal
+        flat = rows[right] * n + cols[right]  # ascending
+        tt_slots = np.arange(len(flat)) + rows[right] * n_struct
+        tb_first = (np.cumsum(np.bincount(rows[right], minlength=border))
                     + np.arange(border) * n_struct)
-        base = len(rows) + border * n_struct
-        positions = np.empty(base + n_struct * n, dtype=np.int64)
-        positions[tt_slots] = rows * n + cols
+        base = len(flat) + border * n_struct
+        level_a, level_b = np.triu_indices(n_struct)
+        positions = np.empty(base + len(level_a), dtype=np.int64)
+        positions[tt_slots] = flat
         positions[tb_first[:, None] + np.arange(n_struct)] = \
             np.arange(border)[:, None] * n + np.arange(border, n)
-        positions[base:] = np.arange(border * n, n * n)
+        positions[base:] = (border + level_a) * n + border + level_b
         dropped = len(positions)
         candidate_slot = np.full(len(hit), dropped)
-        candidate_slot[marked[kept]] = tt_slots
+        candidate_slot[marked[kept]] = tt_slots[np.searchsorted(
+            flat, np.minimum(rows, cols) * n + np.maximum(rows, cols))]
+        # two levels' slot; level n_struct is none
+        level_slot = np.full((n_struct + 1, n_struct + 1), dropped)
+        level_slot[level_a, level_b] = level_slot[level_b, level_a] = \
+            base + np.arange(len(level_a))
 
-        order, bounds = _elimination_blocks(rows, cols, n, n_struct)
-        panels, places, reaches = _panels(positions, order, bounds, border)
+        panels, places, lower, upper, reaches = _panels(positions, order,
+                                                        bounds, border)
         blocks = []
-        for features, found in zip(self._features(), reached):
-            k, n_team_features = len(features.slots), len(found)
+        for features in self._features():
+            k, n_team_features = len(features.slots), len(features.team)
             team_x = features.slots[:n_team_features] - pinned  # pinned: -1
             # each structural feature's level, n_struct where it has none
             level = features.slots[n_team_features:] - self.n_team
-            on_team, on_level = team_x >= 0, level < n_struct
-            targets = np.empty((k, k, len(self.i_idx)), dtype=int)
-            targets[:n_team_features, :n_team_features] = \
-                candidate_slot[found]
-            targets[:n_team_features, n_team_features:] = np.where(
-                on_team[:, None] & on_level,
-                tb_first[team_x][:, None] + level, dropped)
-            targets[n_team_features:, :n_team_features] = np.where(
-                on_level[:, None] & on_team,
-                base + level[:, None] * n + team_x, dropped)
-            targets[n_team_features:, n_team_features:] = np.where(
-                on_level[:, None] & on_level,
-                base + level[:, None] * n + border + level, dropped)
-            products = (features.exps[:, :, None]
-                        * features.exps[:, None, :]).reshape(-1, k * k)
-            blocks.append((features.exps, products, targets.ravel()))
+            fa, fb = np.triu_indices(k)
+            targets = np.empty((len(fa), len(self.i_idx)), dtype=np.intp)
+            for a, b, out in zip(fa.tolist(), fb.tolist(), targets):
+                if b < n_team_features:
+                    np.take(candidate_slot, candidates(features, a, b),
+                            out=out)
+                elif a < n_team_features:
+                    x, lv = team_x[a], level[b - n_team_features]
+                    out[:] = np.where((x >= 0) & (lv < n_struct),
+                                      tb_first[x] + lv, dropped)
+                else:
+                    out[:] = level_slot[level[a - n_team_features],
+                                        level[b - n_team_features]]
+            blocks.append((features.exps, features.exps[:, fa]
+                           * features.exps[:, fb], targets.ravel()))
         widest = max(products.shape[1] for _, products, _ in blocks)
         self._plan = _HessianPlan(
             positions, candidate_slot[diagonal[pinned:self.n_strength]],
-            blocks, order, bounds, border, panels, places, reaches,
-            np.empty(2 * widest * len(self.i_idx)))
+            blocks, order, bounds, border, panels, places, lower, upper,
+            reaches, np.empty(widest * len(self.i_idx)))
         return self._plan
 
     def _information(self, x: np.ndarray,
@@ -730,25 +757,19 @@ class _Problem:
         under its cell probabilities: ``probs``, as ``evaluate`` returns
         them at the same ``x``.
 
-        The second moments and means take two matrix products per block,
-        formed in the plan's scratch; one bincount sums the covariance
-        entries per slot, and the prior adds its curvature to the strengths'
-        diagonal.
+        One matrix product per block forms the second moments of the
+        feature pairs on and right of the diagonal in the plan's scratch,
+        and each feature's row of mean products is subtracted there in
+        place; one bincount sums the covariance entries per slot, and the
+        prior adds its curvature to the strengths' diagonal.
         """
         plan = self._hessian_plan()
         sums = np.zeros(len(plan.positions) + 1)
         for (_, _, mvec), (exps, products, targets), p in zip(
                 self.block_data, plan.blocks, probs):
-            k, pairs = exps.shape[1], p.shape[1]
-            mean = exps.T @ p  # k x pairs
-            cov, outer = plan.scratch[:2 * k * k * pairs].reshape(2, k * k,
-                                                                  pairs)
-            np.matmul(products.T, p * mvec[None, :], out=cov)
-            np.multiply(mean[:, None, :], mean[None, :, :],
-                        out=outer.reshape(k, k, pairs))
-            outer *= mvec[None, :]
-            cov -= outer
-            sums += np.bincount(targets, cov.ravel(), len(sums))
+            cov = plan.scratch[:products.shape[1] * p.shape[1]]
+            _covariances(exps, products, p, mvec, cov.reshape(-1, p.shape[1]))
+            sums += np.bincount(targets, cov, len(sums))
         if self.w > 0:
             p = _logistic(x[:self.n_strength - self.pinned])
             sums[plan.prior_slots] += 2.0 * self.w * p * (1.0 - p)
@@ -758,13 +779,14 @@ class _Problem:
                probs: Sequence[np.ndarray]) -> _BlockFactor:
         """Minus the Hessian at ``x``, under ``probs`` as ``evaluate``
         returns them there, scattered from its slots into the plan's
-        panels."""
+        panels, with each block's square mirrored below its diagonal."""
         plan = self._hessian_plan()
         information = self._information(x, probs)
         at, rows, width = plan.panels[-1]
-        buffer = np.zeros(at + rows * width + 1)
+        buffer = np.zeros(at + rows * width)
         buffer[plan.places] = information
-        return _BlockFactor(plan, buffer[:-1])
+        buffer[plan.lower] = buffer[plan.upper]
+        return _BlockFactor(plan, buffer)
 
     # ---- reporting ----
 
@@ -782,6 +804,28 @@ class _Problem:
             # one notional win and loss per side the team's strength plays
             totals += 2.0 * self.w * _logistic(flat[:self.n_strength])
         return totals.reshape(-1, self.m).sum(axis=0)
+
+
+def _covariances(exps: np.ndarray, products: np.ndarray, p: np.ndarray,
+                 mvec: np.ndarray, out: np.ndarray) -> None:
+    """Each pair's count-weighted covariance of a block's features, written
+    into ``out`` (products' columns x pairs): the features' cell exponents
+    ``exps`` (cells x k), their products on and right of the diagonal,
+    row by row (cells x k(k+1)/2), the cell probabilities ``p`` (cells x
+    pairs) and the match counts ``mvec``.
+
+    One matrix product forms the second moments, and each feature's row of
+    mean products is subtracted in place.
+    """
+    k = exps.shape[1]
+    mean = exps.T @ p  # k x pairs
+    np.matmul(products.T, p * mvec[None, :], out=out)
+    outer, row = np.empty_like(mean), 0
+    for a in range(k):  # feature a with itself and every later one
+        np.multiply(mean[a:], mean[a], out=outer[a:])
+        outer[a:] *= mvec
+        out[row:row + k - a] -= outer[a:]
+        row += k - a
 
 
 def _cells_by_pairs(counts: np.ndarray) -> np.ndarray:

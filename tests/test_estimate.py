@@ -429,14 +429,16 @@ def test_log_normalizer_matches_scipy_logsumexp():
 def _dense_hessian(problem: _Problem, x: np.ndarray,
                    probs=None) -> np.ndarray:
     """The exact Hessian as a dense matrix in x's order: minus the
-    information scattered at the plan's positions, under ``probs`` or,
+    information scattered at the plan's positions, which hold one of each
+    mirrored pair, and mirrored off the diagonal, under ``probs`` or,
     without them, under a fresh evaluation at ``x``."""
     if probs is None:
         probs = problem.evaluate(x)[2]
     n = problem.n_free
     hess = np.zeros(n * n)
     hess[problem._hessian_plan().positions] = -problem._information(x, probs)
-    return hess.reshape(n, n)
+    hess = hess.reshape(n, n)
+    return hess + hess.T - np.diag(np.diag(hess))
 
 
 def _hessian_by_central_differences(problem: _Problem, x: np.ndarray,
@@ -904,6 +906,13 @@ def test_elimination_blocks_match_a_plain_breadth_first_search(
     plan = problem._hessian_plan()
     n, n_border = problem.n_free, len(problem.free_structural)
     rows, cols = np.divmod(plan.positions, n)
+    # the positions hold one of each mirrored pair; the graph takes both,
+    # sorted by row
+    off = rows != cols
+    rows, cols = (np.concatenate([rows, cols[off]]),
+                  np.concatenate([cols, rows[off]]))
+    by_row = np.argsort(rows, kind="stable")
+    rows, cols = rows[by_row], cols[by_row]
     order, bounds = _breadth_first_blocks(rows, cols, n, n_border)
     assert plan.order.tolist() == order
     assert plan.bounds.tolist() == bounds
@@ -911,6 +920,49 @@ def test_elimination_blocks_match_a_plain_breadth_first_search(
     order, bounds = estimate._elimination_blocks(rows, cols, n, 0)
     assert (order.tolist(), bounds.tolist()) \
         == _breadth_first_blocks(rows, cols, n, 0)
+
+
+def _panel_entries(plan, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column, in elimination order, of every slot's place in
+    the plan's panels."""
+    offsets = np.array([at for at, _, _ in plan.panels])
+    block = np.searchsorted(offsets, plan.places, side="right") - 1
+    widths = np.array([width for _, _, width in plan.panels])
+    row, column = np.divmod(plan.places - offsets[block], widths[block])
+    lo = plan.bounds[block]
+    top = np.append(plan.bounds[2:], n)[block]  # where the block's reach ends
+    col = np.where(lo + column < top, lo + column,
+                   plan.border + lo + column - top)
+    return lo + row, col
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+@pytest.mark.parametrize("weight, freeze, pin_first", GAUGES)
+def test_plan_slots_are_one_triangle_in_elimination_order(
+        schedule, variant, weight, freeze, pin_first):
+    counts = SCHEDULES[schedule](variant)
+    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+                                   DEFAULT_POINTS, freeze=freeze,
+                                   pin_first=pin_first)
+    plan = problem._hessian_plan()
+    n = problem.n_free
+    rows, cols = np.divmod(plan.positions, n)
+    unordered = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    assert len(np.unique(unordered)) == len(unordered)
+    # each slot sits at its upper orientation in elimination order
+    row, col = _panel_entries(plan, n)
+    assert (row <= col).all()
+    assert np.array_equal(np.sort([plan.order[row], plan.order[col]], axis=0),
+                          np.sort([rows, cols], axis=0))
+    x = np.random.default_rng(71).normal(0.0, 0.5, n)
+    _, _, probs = problem.evaluate(x)
+    buffer = problem.factor(x, probs).buffer
+    for at, size, width in plan.panels:
+        own = buffer[at:at + size * width].reshape(size, width)[:, :size]
+        assert np.array_equal(own, own.T)
 
 
 def _offset_ring(teams: int) -> OutcomeCounts:
@@ -944,6 +996,24 @@ def test_newton_step_memory_grows_with_the_played_pairs():
     assert per_pair[1] <= 1.5 * per_pair[0]
 
 
+def test_newton_step_memory_per_played_pair_is_small():
+    # The plan holds one entry of each mirrored Hessian pair and builds its
+    # covariance slots one feature pair at a time; holding both entries of
+    # each pair, and building all slots at once, takes about 1,125 bytes.
+    counts = _offset_ring(2000)
+    problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
+                                   1.0, DEFAULT_POINTS)
+    x = np.zeros(problem.n_free)
+    _, g, probs = problem.evaluate(x)
+    tracemalloc.start()
+    try:
+        problem.factor(x, probs).solve(g)  # builds the plan too
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(counts.home) < 800
+
+
 def test_a_later_newton_step_allocates_no_covariance_sized_array():
     # The covariances are formed in the plan's scratch. Allocating and
     # freeing them anew at every step makes the allocator return their
@@ -962,7 +1032,8 @@ def test_a_later_newton_step_allocates_no_covariance_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < widest * len(counts.home) * 8  # one k*k x pairs array
+    # one covariance-sized array: k(k+1)/2 x pairs
+    assert peak < widest * len(counts.home) * 8
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
