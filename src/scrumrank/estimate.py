@@ -39,14 +39,16 @@ the features taken two at a time, the slot of every per-pair covariance
 entry among the matrix's non-zero entries, an elimination order and where
 each slot sits in the factor's panels. The matrix is symmetric, so a slot
 is one unordered pair of entries and only the feature pairs on or right of
-the diagonal are formed. The team-team slots are the schedule graph's
-edges, read from the sorted pairs, and the entries of a structural row or
-column are laid out densely, so every array of the plan grows with the
-played pairs. Each step then reuses the cell probabilities of the
-evaluation at its iterate, forms the covariances with one small matrix
-product per block in scratch space the plan holds, subtracts the mean
-products there in place, sums them per slot with one bincount, scatters
-the slots into the panels and mirrors the panels' diagonal blocks.
+the diagonal are formed. A slot is the rank of its entry's flat position
+among those of the non-zero entries, sorted: the team-team entries are the
+diagonal and the schedule graph's edges, coded once per played pair, and
+every entry of a structural row or column is present, so every array of
+the plan grows with the played pairs. Each step then reuses the cell
+probabilities of the evaluation at its iterate, forms the covariances with
+one small matrix product per block in scratch space the plan holds,
+subtracts the mean products there in place, sums them per slot with one
+bincount, scatters the slots into the panels and mirrors the panels'
+diagonal blocks.
 
 A team's parameters interact only with those of the opponents it played,
 so outside the few structural parameters (the border) the Hessian is the
@@ -73,6 +75,7 @@ alone.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -224,15 +227,16 @@ class _HessianPlan:
     The Hessian is symmetric, so each information slot is one unordered
     pair {r, c} of its non-zero entries: the whole diagonal, the entries of
     teams that met (and of one team's tables that share a pair), and every
-    entry of a border row or column. ``positions`` are their flat positions
-    r * n + c in an n x n matrix in x order with r <= c, ascending, and
-    ``prior_slots`` the slots of the strengths' diagonal. Each outcome
-    block has its feature table's cell exponents (cells x k), the products
-    of each feature pair on or right of the diagonal, row by row (cells x
-    k(k+1)/2), and each pair's slot at every pair of teams (k(k+1)/2 x
-    pairs, flattened), ``targets``; a dropped entry's slot is
-    ``len(positions)``. Both orders of two features reach the same slot,
-    so the lower feature pairs are left out.
+    entry of a border row or column. ``positions`` are their codes, the
+    flat positions r * n + c in an n x n matrix in x order with r <= c,
+    sorted, so a slot is its code's rank; ``prior_slots`` are the slots of
+    the strengths' diagonal. Each outcome block has its feature table's
+    cell exponents (cells x k), the products of each feature pair on or
+    right of the diagonal, row by row (cells x k(k+1)/2), and each pair's
+    slot at every pair of teams (k(k+1)/2 x pairs, flattened),
+    ``targets``; a dropped entry's slot is ``len(positions)``. Both orders
+    of two features reach the same slot, so the lower feature pairs are
+    left out.
 
     ``order`` lists the x index of each row in elimination order, and
     elimination block ``b`` is rows ``bounds[b]:bounds[b + 1]`` of that
@@ -337,27 +341,31 @@ class _BlockFactor:
         return d
 
 
-def _elimination_blocks(rows: np.ndarray, cols: np.ndarray, n: int,
+def _elimination_blocks(positions: np.ndarray, n: int,
                         n_border: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elimination order and block bounds for an n x n Hessian whose last
-    ``n_border`` parameters (the border) may couple to every other one.
+    """Elimination order and block bounds for a symmetric n x n Hessian
+    whose last ``n_border`` parameters (the border) may couple to every
+    other one.
 
-    The other parameters form a graph through the non-zero entries at
-    ``rows`` and ``cols``, sorted by row. Its breadth-first level sets,
-    each search started from the lowest unvisited parameter so that every
-    component is covered in turn, are merged in sequence until a block
-    holds at least ``n_border`` parameters; the border joins the last
-    block. An edge of a breadth-first search joins the same or adjacent
-    levels, so outside the border the matrix is block tridiagonal in this
-    order. Parameters keep their x order within a block.
+    The other parameters form a graph through the non-zero entries at the
+    flat ``positions`` r * n + c with r <= c, one of each mirrored pair. Its
+    breadth-first level sets, each search started from the lowest unvisited
+    parameter so that every component is covered in turn, are merged in
+    sequence until a block holds at least ``n_border`` parameters; the
+    border joins the last block. An edge of a breadth-first search joins
+    the same or adjacent levels, so outside the border the matrix is block
+    tridiagonal in this order. Parameters keep their x order within a block.
 
-    The graph is held once in compressed-row form, and each level expands
-    only its own rows, so the search reads every edge once.
+    The graph's edges are mirrored and held once in compressed-row form,
+    and each level expands only its own rows, so the search reads every
+    edge once.
     """
     n_graph = n - n_border
-    edge = (rows < n_graph) & (cols < n_graph)
-    indptr = np.searchsorted(rows[edge], np.arange(n_graph + 1))
-    indices = cols[edge]
+    rows, cols = np.divmod(positions, n)
+    edge = (rows != cols) & (cols < n_graph)
+    rows, indices = np.divmod(np.sort(np.concatenate(
+        [positions[edge], cols[edge] * n + rows[edge]])), n)
+    indptr = np.searchsorted(rows, np.arange(n_graph + 1))
     visited = np.zeros(n_graph, dtype=bool)
     levels = []
     while not visited.all():
@@ -635,118 +643,63 @@ class _Problem:
         stops before its first step never builds it. Every array it builds
         grows with the played pairs.
 
-        The team-team entries are found as candidates: the entries between
-        any two tables' logs of a team and of each team it met or itself,
-        which the schedule graph's sorted neighbour lists enumerate row by
-        row. Each ordered pair of a block's team features marks the
-        candidates it reaches, so the marked ones, with the diagonal, are
-        the team-team entries in both orientations: the graph the
-        elimination order is searched on. Those on or right of the diagonal
-        become slots in that order, each team row followed by its border
-        entries, then the border rows on and right of the diagonal, so
-        every slot's place follows from the counts. A candidate's slot is
-        its upper orientation's.
+        An entry's code is its flat position r * n + c with r <= c, and a
+        slot is the rank of its code among the sorted codes of the non-zero
+        entries: the diagonal, every team row's border columns, the border's
+        upper triangle, and the entries that two team features of a block
+        join at each pair. A feature's x index is -1 for the pinned log and
+        n where it reaches no parameter, and an entry of either is dropped.
+        Every row holds its diagonal entry first and its border entries
+        last, all present, so those slots follow from where each row
+        starts; an off-diagonal team-team slot is found by searching the
+        codes.
         """
         if self._plan is not None:
             return self._plan
-        m, n, pinned = self.m, self.n_free, self.pinned
+        n, pinned = self.n_free, self.pinned
         n_struct = len(self.free_structural)
         border = n - n_struct
-        n_tables = len(self.layout.tables)
-        sides = np.stack([self.i_idx, self.j_idx])
-        # the schedule graph's arcs and each team's loop, ascending: team
-        # u's neighbours and itself are arcs[start[u]:start[u + 1]] % m
-        arcs = np.sort(np.concatenate([sides[0] * m + sides[1],
-                                       sides[1] * m + sides[0],
-                                       np.arange(m) * (m + 1)]))
-        arcs = arcs[np.diff(arcs, prepend=-1) != 0]
-        start = np.searchsorted(arcs, np.arange(m + 1) * m)
-        degree = np.diff(start)
-        itself = np.searchsorted(arcs, np.arange(m) * (m + 1)) - start[:-1]
-        # near[a, b]: the index of side b's team among side a's neighbours
-        other = np.searchsorted(arcs, sides * m + sides[::-1]) - start[sides]
-        near = np.array([[itself[sides[0]], other[0]],
-                         [other[1], itself[sides[1]]]])
-        # candidate of (table t, team u) x (table t2, u's c-th neighbour):
-        # first[t * m + u] + t2 * degree[u] + c
-        first = np.concatenate(
-            [[0], np.cumsum(np.tile(degree * n_tables, n_tables))])
-
-        def candidates(features: _Features, a: int, b: int) -> np.ndarray:
-            """The candidate team features ``a`` and ``b`` reach at every
-            pair, in row ``a``'s log."""
-            (table, side), (table_b, side_b) = features.team[a], \
-                features.team[b]
-            owner = sides[side]
-            return (first[table * m + owner] + table_b * degree[owner]
-                    + near[side, side_b])
-
-        full = np.arange(self.n_team)  # every per-team log, pinned or not
-        diagonal = (first[full] + full // m * degree[full % m]
-                    + itself[full % m])
-        hit = np.zeros(first[-1], dtype=bool)
-        hit[diagonal] = True
-        for features in self._features():
-            for a in range(len(features.team)):
-                for b in range(len(features.team)):
-                    hit[candidates(features, a, b)] = True
-        marked = np.flatnonzero(hit)
-        row = np.searchsorted(first, marked, side="right") - 1
-        u = row % m
-        table, c = np.divmod(marked - first[row], degree[u])
-        col = table * m + arcs[start[u] + c] % m
-        kept = (row >= pinned) & (col >= pinned)  # the pinned log is x's -1
-        rows, cols = row[kept] - pinned, col[kept] - pinned
-        order, bounds = _elimination_blocks(rows, cols, n, n_struct)
-        right = rows <= cols  # on or right of the diagonal
-        flat = rows[right] * n + cols[right]  # ascending
-        tt_slots = np.arange(len(flat)) + rows[right] * n_struct
-        tb_first = (np.cumsum(np.bincount(rows[right], minlength=border))
-                    + np.arange(border) * n_struct)
-        base = len(flat) + border * n_struct
         level_a, level_b = np.triu_indices(n_struct)
-        positions = np.empty(base + len(level_a), dtype=np.int64)
-        positions[tt_slots] = flat
-        positions[tb_first[:, None] + np.arange(n_struct)] = \
-            np.arange(border)[:, None] * n + np.arange(border, n)
-        positions[base:] = (border + level_a) * n + border + level_b
-        dropped = len(positions)
-        candidate_slot = np.full(len(hit), dropped)
-        candidate_slot[marked[kept]] = tt_slots[np.searchsorted(
-            flat, np.minimum(rows, cols) * n + np.maximum(rows, cols))]
-        # two levels' slot; level n_struct is none
-        level_slot = np.full((n_struct + 1, n_struct + 1), dropped)
-        level_slot[level_a, level_b] = level_slot[level_b, level_a] = \
-            base + np.arange(len(level_a))
-
+        codes = [np.arange(n) * (n + 1),
+                 (np.arange(border)[:, None] * n
+                  + np.arange(border, n)).ravel(),
+                 (border + level_a) * n + border + level_b]
+        team_x, joined = {}, set()  # by (table, side)
+        for features in self._features():
+            team_x.update(zip(features.team, features.slots - pinned))
+            joined.update(itertools.combinations(features.team, 2))
+        for a, b in joined:
+            lo = np.minimum(team_x[a], team_x[b])
+            hi = np.maximum(team_x[a], team_x[b])
+            codes.append((lo * n + hi)[lo >= 0])
+        positions = np.sort(np.concatenate(codes))
+        positions = positions[np.diff(positions, prepend=-1) != 0]
+        start = np.searchsorted(positions, np.arange(n + 2) * n)
+        order, bounds = _elimination_blocks(positions, n, n_struct)
         panels, places, lower, upper, reaches = _panels(positions, order,
                                                         bounds, border)
         blocks = []
         for features in self._features():
-            k, n_team_features = len(features.slots), len(features.team)
-            team_x = features.slots[:n_team_features] - pinned  # pinned: -1
-            # each structural feature's level, n_struct where it has none
-            level = features.slots[n_team_features:] - self.n_team
-            fa, fb = np.triu_indices(k)
+            x_index = features.slots - pinned
+            fa, fb = np.triu_indices(len(x_index))
             targets = np.empty((len(fa), len(self.i_idx)), dtype=np.intp)
             for a, b, out in zip(fa.tolist(), fb.tolist(), targets):
-                if b < n_team_features:
-                    np.take(candidate_slot, candidates(features, a, b),
-                            out=out)
-                elif a < n_team_features:
-                    x, lv = team_x[a], level[b - n_team_features]
-                    out[:] = np.where((x >= 0) & (lv < n_struct),
-                                      tb_first[x] + lv, dropped)
-                else:
-                    out[:] = level_slot[level[a - n_team_features],
-                                        level[b - n_team_features]]
+                lo = np.minimum(x_index[a], x_index[b])
+                hi = np.maximum(x_index[a], x_index[b])
+                if a == b:  # a diagonal entry opens its row
+                    out[:] = start[lo]
+                elif b < len(features.team):
+                    out[:] = np.searchsorted(positions, lo * n + hi)
+                else:  # a row's border entries close it
+                    out[:] = start[lo + 1] - (n - hi)
+                out[(lo < 0) | (hi >= n)] = len(positions)
             blocks.append((features.exps, features.exps[:, fa]
                            * features.exps[:, fb], targets.ravel()))
         widest = max(products.shape[1] for _, products, _ in blocks)
         self._plan = _HessianPlan(
-            positions, candidate_slot[diagonal[pinned:self.n_strength]],
-            blocks, order, bounds, border, panels, places, lower, upper,
-            reaches, np.empty(widest * len(self.i_idx)))
+            positions, start[:self.n_strength - pinned], blocks, order,
+            bounds, border, panels, places, lower, upper, reaches,
+            np.empty(widest * len(self.i_idx)))
         return self._plan
 
     def _information(self, x: np.ndarray,
