@@ -35,20 +35,16 @@ steps reach the gradient tolerance.
 
 The Hessian comes in two parts. A plan, built once per problem from the
 feature tables, holds what the parameters do not change: the products of
-the features taken two at a time, the slot of every per-pair covariance
-entry among the matrix's non-zero entries, an elimination order and where
-each slot sits in the factor's panels. The matrix is symmetric, so a slot
-is one unordered pair of entries and only the feature pairs on or right of
-the diagonal are formed. A slot is the rank of its entry's flat position
-among those of the non-zero entries, sorted: the team-team entries are the
-diagonal and the schedule graph's edges, coded once per played pair, and
-every entry of a structural row or column is present, so every array of
-the plan grows with the played pairs. Each step then reuses the cell
-probabilities of the evaluation at its iterate, forms the covariances with
-one small matrix product per block in scratch space the plan holds,
-subtracts the mean products there in place, sums them per slot with one
-bincount, scatters the slots into the panels and mirrors the panels'
-diagonal blocks.
+the features taken two at a time, an elimination order, the factor's
+panels and the place in those panels of every per-pair covariance entry.
+The matrix is symmetric, so only the feature pairs on or right of the
+diagonal are formed, and each entry is placed at whichever of its row and
+column comes first in elimination order. Every array of the plan grows
+with the played pairs. Each step then reuses the cell probabilities of the
+evaluation at its iterate, forms the covariances with one small matrix
+product per block in scratch space the plan holds, subtracts the mean
+products there in place, sums them straight into the panels with one
+bincount per block and mirrors the panels' diagonal blocks.
 
 A team's parameters interact only with those of the opponents it played,
 so outside the few structural parameters (the border) the Hessian is the
@@ -224,54 +220,45 @@ class _Features:
 class _HessianPlan:
     """What ``_Problem.factor`` needs that does not depend on ``x``.
 
-    The Hessian is symmetric, so each information slot is one unordered
-    pair {r, c} of its non-zero entries: the whole diagonal, the entries of
-    teams that met (and of one team's tables that share a pair), and every
-    entry of a border row or column. ``positions`` are their codes, the
-    flat positions r * n + c in an n x n matrix in x order with r <= c,
-    sorted, so a slot is its code's rank; ``prior_slots`` are the slots of
-    the strengths' diagonal. Each outcome block has its feature table's
-    cell exponents (cells x k), the products of each feature pair on or
-    right of the diagonal, row by row (cells x k(k+1)/2), and each pair's
-    slot at every pair of teams (k(k+1)/2 x pairs, flattened),
-    ``targets``; a dropped entry's slot is ``len(positions)``. Both orders
-    of two features reach the same slot, so the lower feature pairs are
-    left out.
-
     ``order`` lists the x index of each row in elimination order, and
     elimination block ``b`` is rows ``bounds[b]:bounds[b + 1]`` of that
     order; ``border`` is the first structural row, the last block's rows
     from it on are the border. Block ``b`` keeps its rows of minus the
     Hessian in a panel, ``panels[b]`` = (offset, rows, width) of one flat
-    buffer: the rows over their own columns, the next block's and the
-    border's (the last block's panel is its rows over its own columns). A
-    slot sits in the panel of whichever of its row and column comes first
-    in elimination order, at the other's column, so every slot has one
-    place in a panel, and ``places`` gives each slot's index in the buffer.
-    The panels grow with the played pairs. A block's own columns form a
-    square that its solve reads whole: ``upper`` lists the places of the
-    off-diagonal entries inside those squares, and ``lower`` the places of
-    their mirrors below the diagonal, which a factor copies them to.
-    ``reaches`` hold, for each block but the last, the rows its coupling
-    columns belong to.
+    buffer of ``size`` entries: the rows over their own columns, the next
+    block's and the border's (the last block's panel is its rows over its
+    own columns). The panels grow with the played pairs.
 
-    ``scratch`` is working space for ``_Problem._information``: room for
-    the k(k+1)/2 x pairs covariances of the widest block. Every step reuses
-    it, so a step allocates no array of that size. Arrays that large,
-    allocated and freed at every step, can go back to the system each time
-    and have their pages faulted in again at the next step. The replicates
-    that share a plan are fitted one at a time, so they share the scratch
-    too.
+    The Hessian is symmetric, so each of its entries has one place in the
+    buffer, in the row of whichever of its row and column comes first in
+    elimination order. Each outcome block has its feature table's cell
+    exponents (cells x k), the products of each feature pair on or right of
+    the diagonal, row by row (cells x k(k+1)/2), and each pair's place at
+    every pair of teams (k(k+1)/2 x pairs, flattened), ``targets``; an
+    entry of the pinned log, or of log kappa where it reaches no parameter,
+    is dropped at place ``size``. Both orders of two features reach the
+    same place, so the lower feature pairs are left out. ``prior_places``
+    are the places of the strengths' diagonal. A block's own columns form a
+    square that its solve reads whole: ``upper`` lists the places above the
+    diagonal inside those squares, and ``lower`` the places of their
+    mirrors below it, which a factor copies them to. ``reaches`` hold, for
+    each block but the last, the rows its coupling columns belong to.
+
+    ``scratch`` is working space for ``_Problem.factor``: room for the
+    k(k+1)/2 x pairs covariances of the widest block. Every step reuses it,
+    so a step allocates no array of that size. Arrays that large, allocated
+    and freed at every step, can go back to the system each time and have
+    their pages faulted in again at the next step. The replicates that
+    share a plan are fitted one at a time, so they share the scratch too.
     """
 
-    positions: np.ndarray
-    prior_slots: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     order: np.ndarray
     bounds: np.ndarray
     border: int
     panels: list[tuple[int, int, int]]
-    places: np.ndarray
+    size: int
+    prior_places: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     reaches: list[np.ndarray]
@@ -341,30 +328,30 @@ class _BlockFactor:
         return d
 
 
-def _elimination_blocks(positions: np.ndarray, n: int,
+def _elimination_blocks(edges: np.ndarray, n: int,
                         n_border: int) -> tuple[np.ndarray, np.ndarray]:
     """Elimination order and block bounds for a symmetric n x n Hessian
     whose last ``n_border`` parameters (the border) may couple to every
     other one.
 
-    The other parameters form a graph through the non-zero entries at the
-    flat ``positions`` r * n + c with r <= c, one of each mirrored pair. Its
-    breadth-first level sets, each search started from the lowest unvisited
-    parameter so that every component is covered in turn, are merged in
-    sequence until a block holds at least ``n_border`` parameters; the
-    border joins the last block. An edge of a breadth-first search joins
-    the same or adjacent levels, so outside the border the matrix is block
-    tridiagonal in this order. Parameters keep their x order within a block.
+    The other parameters form a graph whose ``edges`` are the codes
+    lo * n + hi of the entries that join two of them, lo < hi, each edge
+    given once or more. Its breadth-first level sets, each search started
+    from the lowest unvisited parameter so that every component is covered
+    in turn, are merged in sequence until a block holds at least
+    ``n_border`` parameters; the border joins the last block. An edge of a
+    breadth-first search joins the same or adjacent levels, so outside the
+    border the matrix is block tridiagonal in this order. Parameters keep
+    their x order within a block.
 
-    The graph's edges are mirrored and held once in compressed-row form,
+    The edges are mirrored, sorted, held once each in compressed-row form,
     and each level expands only its own rows, so the search reads every
     edge once.
     """
     n_graph = n - n_border
-    rows, cols = np.divmod(positions, n)
-    edge = (rows != cols) & (cols < n_graph)
-    rows, indices = np.divmod(np.sort(np.concatenate(
-        [positions[edge], cols[edge] * n + rows[edge]])), n)
+    lo, hi = np.divmod(edges, n)
+    codes = np.sort(np.concatenate([edges, hi * n + lo]))
+    rows, indices = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n)
     indptr = np.searchsorted(rows, np.arange(n_graph + 1))
     visited = np.zeros(n_graph, dtype=bool)
     levels = []
@@ -392,35 +379,41 @@ def _elimination_blocks(positions: np.ndarray, n: int,
     return order, np.array([0, *np.cumsum(sizes, dtype=int), n])
 
 
-def _panels(positions: np.ndarray, order: np.ndarray, bounds: np.ndarray,
-            border: int) -> tuple[list[tuple[int, int, int]], np.ndarray,
-                                  np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The panels, places, mirror and reaches of ``_HessianPlan`` for the
-    non-zero entries at ``positions`` of a symmetric n x n matrix, one of
-    each mirrored pair, eliminated in ``order`` by the blocks at ``bounds``;
-    rows from ``border`` on are the border."""
+def _panels(order: np.ndarray, bounds: np.ndarray, border: int
+            ) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray,
+                       np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The panels, mirror and reaches of ``_HessianPlan`` for a symmetric
+    n x n matrix eliminated in ``order`` by the blocks at ``bounds``, whose
+    rows from ``border`` on are the border, and the rule that places its
+    entries.
+
+    The rule comes as two arrays by rank in elimination order, ``start``
+    and ``end``, each with one more entry for rank n that any row past the
+    last may read. An entry at ranks r <= c sits at ``start[r] + c`` when
+    c is a column of r's block or the next one, and at ``end[r] + c`` when
+    c is a border column; in the last block the two agree.
+    """
     n = len(order)
-    rank = np.empty(n, dtype=int)
-    rank[order] = np.arange(n)
     lows, sizes = bounds[:-1], np.diff(bounds)
     tops = np.append(bounds[2:], n)  # where each block's reach ends
     widths = tops - lows + np.where(tops < n, n - border, 0)
     offsets = np.concatenate([[0], np.cumsum(sizes * widths)])
-    row, col = np.divmod(positions, n)
-    row, col = rank[row], rank[col]
-    row, col = np.minimum(row, col), np.maximum(row, col)
-    block = np.searchsorted(bounds, row, side="right") - 1
-    lo, top, width = lows[block], tops[block], widths[block]
-    places = offsets[block] + (row - lo) * width + np.where(
-        col < top, col - lo, top - lo + col - border)
-    inner = (col < bounds[block + 1]) & (row != col)
-    lower = (offsets[block] + (col - lo) * width + row - lo)[inner]
+    lo, width = np.repeat(lows, sizes), np.repeat(widths, sizes)
+    start = np.append(np.repeat(offsets[:-1], sizes)
+                      + (np.arange(n) - lo) * width - lo, 0)
+    end = start + np.append(lo + width - n, 0)
     panels = list(zip(offsets[:-1].tolist(), sizes.tolist(),
                       widths.tolist()))
-    reaches = [np.arange(hi, n) if end == n
-               else np.concatenate([np.arange(hi, end), np.arange(border, n)])
-               for hi, end in zip(bounds[1:-1], tops[:-1])]
-    return panels, places, lower, places[inner], reaches
+    upper, lower = [], []
+    for at, rows, span in panels:
+        row, col = np.triu_indices(rows, 1)
+        upper.append(at + row * span + col)
+        lower.append(at + col * span + row)
+    reaches = [np.arange(hi, n) if top == n
+               else np.concatenate([np.arange(hi, top), np.arange(border, n)])
+               for hi, top in zip(bounds[1:-1], tops[:-1])]
+    return (panels, start, end, np.concatenate(lower), np.concatenate(upper),
+            reaches)
 
 
 class _Problem:
@@ -617,10 +610,6 @@ class _Problem:
                                 len(sums))
         return sums
 
-    def value(self, x: np.ndarray) -> float:
-        """Log likelihood at ``x``, summed as ``evaluate`` sums it."""
-        return self._likelihood(x)[0]
-
     def evaluate(self, x: np.ndarray
                  ) -> tuple[float, np.ndarray, list[np.ndarray]]:
         """Log likelihood, its gradient and each block's cell probabilities
@@ -643,68 +632,59 @@ class _Problem:
         stops before its first step never builds it. Every array it builds
         grows with the played pairs.
 
-        An entry's code is its flat position r * n + c with r <= c, and a
-        slot is the rank of its code among the sorted codes of the non-zero
-        entries: the diagonal, every team row's border columns, the border's
-        upper triangle, and the entries that two team features of a block
-        join at each pair. A feature's x index is -1 for the pinned log and
-        n where it reaches no parameter, and an entry of either is dropped.
-        Every row holds its diagonal entry first and its border entries
-        last, all present, so those slots follow from where each row
-        starts; an off-diagonal team-team slot is found by searching the
-        codes.
+        The elimination order comes from the entries that two team features
+        of a block join at each pair. A feature's x index is -1 for the
+        pinned log and n where it reaches no parameter; both rank n in that
+        order, and an entry whose column ranks n is dropped. An entry of two
+        team features is placed from its row's start, as the matrix is
+        block tridiagonal, and any other from its row's end, where the
+        border columns close the row.
         """
         if self._plan is not None:
             return self._plan
         n, pinned = self.n_free, self.pinned
-        n_struct = len(self.free_structural)
-        border = n - n_struct
-        level_a, level_b = np.triu_indices(n_struct)
-        codes = [np.arange(n) * (n + 1),
-                 (np.arange(border)[:, None] * n
-                  + np.arange(border, n)).ravel(),
-                 (border + level_a) * n + border + level_b]
+        border = n - len(self.free_structural)
         team_x, joined = {}, set()  # by (table, side)
         for features in self._features():
             team_x.update(zip(features.team, features.slots - pinned))
             joined.update(itertools.combinations(features.team, 2))
+        edges = []
         for a, b in joined:
             lo = np.minimum(team_x[a], team_x[b])
             hi = np.maximum(team_x[a], team_x[b])
-            codes.append((lo * n + hi)[lo >= 0])
-        positions = np.sort(np.concatenate(codes))
-        positions = positions[np.diff(positions, prepend=-1) != 0]
-        start = np.searchsorted(positions, np.arange(n + 2) * n)
-        order, bounds = _elimination_blocks(positions, n, n_struct)
-        panels, places, lower, upper, reaches = _panels(positions, order,
-                                                        bounds, border)
+            edges.append((lo * n + hi)[lo >= 0])
+        order, bounds = _elimination_blocks(np.concatenate(edges), n,
+                                            n - border)
+        panels, start, end, lower, upper, reaches = _panels(order, bounds,
+                                                            border)
+        at, rows, width = panels[-1]
+        size = at + rows * width
+        rank = np.full(n + 1, n)
+        rank[order] = np.arange(n)
         blocks = []
         for features in self._features():
-            x_index = features.slots - pinned
-            fa, fb = np.triu_indices(len(x_index))
+            ranks = rank[features.slots - pinned]
+            fa, fb = np.triu_indices(len(ranks))
             targets = np.empty((len(fa), len(self.i_idx)), dtype=np.intp)
             for a, b, out in zip(fa.tolist(), fb.tolist(), targets):
-                lo = np.minimum(x_index[a], x_index[b])
-                hi = np.maximum(x_index[a], x_index[b])
-                if a == b:  # a diagonal entry opens its row
-                    out[:] = start[lo]
-                elif b < len(features.team):
-                    out[:] = np.searchsorted(positions, lo * n + hi)
-                else:  # a row's border entries close it
-                    out[:] = start[lo + 1] - (n - hi)
-                out[(lo < 0) | (hi >= n)] = len(positions)
+                row = np.minimum(ranks[a], ranks[b])
+                col = np.maximum(ranks[a], ranks[b])
+                rule = start if b < len(features.team) else end
+                np.add(rule[row], col, out=out)
+                out[col == n] = size
             blocks.append((features.exps, features.exps[:, fa]
                            * features.exps[:, fb], targets.ravel()))
         widest = max(products.shape[1] for _, products, _ in blocks)
+        strengths = rank[:self.n_strength - pinned]
         self._plan = _HessianPlan(
-            positions, start[:self.n_strength - pinned], blocks, order,
-            bounds, border, panels, places, lower, upper, reaches,
+            blocks, order, bounds, border, panels, size,
+            start[strengths] + strengths, lower, upper, reaches,
             np.empty(widest * len(self.i_idx)))
         return self._plan
 
-    def _information(self, x: np.ndarray,
-                     probs: Sequence[np.ndarray]) -> np.ndarray:
-        """Minus the Hessian's entries at the plan's slots.
+    def factor(self, x: np.ndarray,
+               probs: Sequence[np.ndarray]) -> _BlockFactor:
+        """Minus the Hessian at ``x`` in the plan's panels.
 
         A pair's block adds the count-weighted covariance of its features
         under its cell probabilities: ``probs``, as ``evaluate`` returns
@@ -713,31 +693,25 @@ class _Problem:
         One matrix product per block forms the second moments of the
         feature pairs on and right of the diagonal in the plan's scratch,
         and each feature's row of mean products is subtracted there in
-        place; one bincount sums the covariance entries per slot, and the
-        prior adds its curvature to the strengths' diagonal.
+        place; one bincount sums the block's covariance entries into their
+        places. The prior adds its curvature to the strengths' diagonal,
+        and each block's square is mirrored below its diagonal.
         """
         plan = self._hessian_plan()
-        sums = np.zeros(len(plan.positions) + 1)
+        buffer = None
         for (_, _, mvec), (exps, products, targets), p in zip(
                 self.block_data, plan.blocks, probs):
             cov = plan.scratch[:products.shape[1] * p.shape[1]]
             _covariances(exps, products, p, mvec, cov.reshape(-1, p.shape[1]))
-            sums += np.bincount(targets, cov, len(sums))
+            added = np.bincount(targets, cov, plan.size + 1)
+            if buffer is None:
+                buffer = added
+            else:
+                buffer += added
         if self.w > 0:
             p = _logistic(x[:self.n_strength - self.pinned])
-            sums[plan.prior_slots] += 2.0 * self.w * p * (1.0 - p)
-        return sums[:-1]
-
-    def factor(self, x: np.ndarray,
-               probs: Sequence[np.ndarray]) -> _BlockFactor:
-        """Minus the Hessian at ``x``, under ``probs`` as ``evaluate``
-        returns them there, scattered from its slots into the plan's
-        panels, with each block's square mirrored below its diagonal."""
-        plan = self._hessian_plan()
-        information = self._information(x, probs)
-        at, rows, width = plan.panels[-1]
-        buffer = np.zeros(at + rows * width)
-        buffer[plan.places] = information
+            buffer[plan.prior_places] += 2.0 * self.w * p * (1.0 - p)
+        buffer = buffer[:-1]  # less the dropped entries' place
         buffer[plan.lower] = buffer[plan.upper]
         return _BlockFactor(plan, buffer)
 
@@ -804,7 +778,7 @@ def log_likelihood(params: Parameters, counts: OutcomeCounts,
                    points: PointsSystem = DEFAULT_POINTS) -> float:
     """Normalized log likelihood of the counts (plus prior) at ``params``."""
     problem, x = _full_problem(params, counts, prior, variant, points)
-    return problem.value(x)
+    return problem._likelihood(x)[0]
 
 
 def score(params: Parameters, counts: OutcomeCounts,

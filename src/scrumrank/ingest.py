@@ -416,7 +416,7 @@ def _texts(c: dict, blank: dict, name: str, index: np.ndarray) -> list[str]:
 def clean(rows: Iterable[RawMatchRow]) -> CleanResult:
     """Apply the repair rules in order to every row.
 
-    Row indices in actions and rejections are 1-based positions in the
+    Row indices in actions and rejections are 1-based indices into the
     input sequence. Exact duplicates of an earlier row are rejected.
     """
     table = MatchTable.of(rows)

@@ -40,8 +40,8 @@ holds per-team log arrays for all four variants, taken from
 ``Parameters`` or, in the fit, from the log parameters it ascends. The
 fit in ``estimate``, ``outcome_distribution`` and ``expected_points``
 here, PPPM in ``rank`` and season sampling in ``simulate`` all go
-through it. Named fixtures are looked up as team positions, and PPPM
-passes a column of home positions against the row of all teams, so each
+through it. Named fixtures are looked up as team indices, and PPPM
+passes a column of home indices against the row of all teams, so each
 chunk of the double round robin is one 2-D evaluation. Probabilities are
 normalized in the log domain with a max shift per fixture, so enormous
 strength ratios cannot overflow.
@@ -383,7 +383,7 @@ class TeamLogs:
                     away: np.ndarray, at_home: np.ndarray | float
                     ) -> np.ndarray:
         """Log cell weights of ``block``, cells x the fixtures' shape, for
-        the fixtures between the teams at positions ``home`` and ``away``,
+        the fixtures between the teams at indices ``home`` and ``away``,
         integer arrays that broadcast together, such as a column of home
         sides against a row of away sides. ``at_home`` broadcasts to their
         shape: 1 at the home side's ground, 0 at a neutral one. Kappa

@@ -428,17 +428,26 @@ def test_log_normalizer_matches_scipy_logsumexp():
 
 def _dense_hessian(problem: _Problem, x: np.ndarray,
                    probs=None) -> np.ndarray:
-    """The exact Hessian as a dense matrix in x's order: minus the
-    information scattered at the plan's positions, which hold one of each
-    mirrored pair, and mirrored off the diagonal, under ``probs`` or,
-    without them, under a fresh evaluation at ``x``."""
+    """The exact Hessian as a dense matrix in x's order, under ``probs``
+    or, without them, under a fresh evaluation at ``x``: the factor's
+    panels laid out in elimination order, whose upper triangle is mirrored
+    below the diagonal and negated."""
     if probs is None:
         probs = problem.evaluate(x)[2]
+    plan = problem._hessian_plan()
+    buffer = problem.factor(x, probs).buffer
     n = problem.n_free
-    hess = np.zeros(n * n)
-    hess[problem._hessian_plan().positions] = -problem._information(x, probs)
-    hess = hess.reshape(n, n)
-    return hess + hess.T - np.diag(np.diag(hess))
+    ordered = np.zeros((n, n))
+    tops = np.append(plan.bounds[2:], n)  # where each block's reach ends
+    for (at, rows, width), lo, top in zip(plan.panels, plan.bounds, tops):
+        columns = np.arange(lo, n) if top == n \
+            else np.r_[lo:top, plan.border:n]
+        ordered[lo:lo + rows, columns] = \
+            buffer[at:at + rows * width].reshape(rows, width)
+    upper = np.triu(ordered)
+    hess = np.empty((n, n))
+    hess[np.ix_(plan.order, plan.order)] = -(upper + np.triu(upper, 1).T)
+    return hess
 
 
 def _hessian_by_central_differences(problem: _Problem, x: np.ndarray,
@@ -522,7 +531,7 @@ def test_value_equals_the_evaluated_log_likelihood(variant, weight, freeze,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     x = np.random.default_rng(41).normal(0.0, 0.5, problem.n_free)
-    assert problem.value(x) == problem.evaluate(x)[0]
+    assert problem._likelihood(x)[0] == problem.evaluate(x)[0]
 
 
 @pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
@@ -860,16 +869,35 @@ def test_factor_solves_many_right_hand_sides(schedule, variant, weight,
             <= 1e-10 * np.abs(dense).max()
 
 
-def _breadth_first_blocks(positions, n, n_border):
+def _feature_x(problem: _Problem) -> list[list[list[int]]]:
+    """Per block and pair, the x index of each feature: -1 is the pinned
+    log, n no parameter."""
+    return [(features.slots - problem.pinned).T.tolist()
+            for features in problem._features()]
+
+
+def _joined_entries(problem: _Problem) -> set[tuple[int, int]]:
+    """Every off-diagonal entry (r, c), r < c, that two features of a block
+    join at a pair, by plain loops over the feature tables."""
+    entries = set()
+    for per_pair in _feature_x(problem):
+        for xs in per_pair:
+            for a in xs:
+                for b in xs:
+                    if 0 <= a < b < problem.n_free:
+                        entries.add((a, b))
+    return entries
+
+
+def _breadth_first_blocks(entries, n, n_border):
     """Elimination order and bounds by a plain breadth-first search over
-    the entries at ``positions``, one of each mirrored pair: the level sets
-    of each component in turn, from its lowest parameter, merged until a
-    block holds n_border parameters."""
+    the off-diagonal ``entries`` (r, c): the level sets of each component
+    in turn, from its lowest parameter, merged until a block holds
+    n_border parameters."""
     n_graph = n - n_border
     neighbours = {v: set() for v in range(n_graph)}
-    rows, cols = np.divmod(positions, n)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        if r < n_graph and c < n_graph and r != c:
+    for r, c in entries:
+        if r < n_graph and c < n_graph:
             neighbours[r].add(c)
             neighbours[c].add(r)
     visited, levels = set(), []
@@ -908,22 +936,25 @@ def test_elimination_blocks_match_a_plain_breadth_first_search(
                                    pin_first=pin_first)
     plan = problem._hessian_plan()
     n, n_border = problem.n_free, len(problem.free_structural)
-    order, bounds = _breadth_first_blocks(plan.positions, n, n_border)
+    entries = _joined_entries(problem)
+    order, bounds = _breadth_first_blocks(entries, n, n_border)
     assert plan.order.tolist() == order
     assert plan.bounds.tolist() == bounds
     # without a border every level is a block of its own
-    order, bounds = estimate._elimination_blocks(plan.positions, n, 0)
+    edges = np.array([r * n + c for r, c in entries])
+    order, bounds = estimate._elimination_blocks(edges, n, 0)
     assert (order.tolist(), bounds.tolist()) \
-        == _breadth_first_blocks(plan.positions, n, 0)
+        == _breadth_first_blocks(entries, n, 0)
 
 
-def _panel_entries(plan, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row and column, in elimination order, of every slot's place in
+def _panel_entries(plan, n: int,
+                   places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column, in elimination order, of each of ``places`` in
     the plan's panels."""
     offsets = np.array([at for at, _, _ in plan.panels])
-    block = np.searchsorted(offsets, plan.places, side="right") - 1
+    block = np.searchsorted(offsets, places, side="right") - 1
     widths = np.array([width for _, _, width in plan.panels])
-    row, column = np.divmod(plan.places - offsets[block], widths[block])
+    row, column = np.divmod(places - offsets[block], widths[block])
     lo = plan.bounds[block]
     top = np.append(plan.bounds[2:], n)[block]  # where the block's reach ends
     col = np.where(lo + column < top, lo + column,
@@ -936,7 +967,7 @@ def _panel_entries(plan, n: int) -> tuple[np.ndarray, np.ndarray]:
                          ids=lambda v: f"{v.home_model.value}/"
                                        f"{v.try_model.value}")
 @pytest.mark.parametrize("weight, freeze, pin_first", GAUGES)
-def test_plan_slots_are_one_triangle_in_elimination_order(
+def test_plan_places_are_one_triangle_in_elimination_order(
         schedule, variant, weight, freeze, pin_first):
     counts = SCHEDULES[schedule](variant)
     problem = _Problem.from_counts(counts.teams, counts, variant, weight,
@@ -944,14 +975,23 @@ def test_plan_slots_are_one_triangle_in_elimination_order(
                                    pin_first=pin_first)
     plan = problem._hessian_plan()
     n = problem.n_free
-    rows, cols = np.divmod(plan.positions, n)
-    unordered = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-    assert len(np.unique(unordered)) == len(unordered)
-    # each slot sits at its upper orientation in elimination order
-    row, col = _panel_entries(plan, n)
-    assert (row <= col).all()
-    assert np.array_equal(np.sort([plan.order[row], plan.order[col]], axis=0),
-                          np.sort([rows, cols], axis=0))
+    for features, (_, _, targets) in zip(problem._features(), plan.blocks):
+        x_index = features.slots - problem.pinned
+        fa, fb = np.triu_indices(len(x_index))
+        lo = np.minimum(x_index[fa], x_index[fb])
+        hi = np.maximum(x_index[fa], x_index[fb])
+        targets = targets.reshape(len(fa), -1)
+        kept = targets != plan.size
+        assert np.array_equal(kept, (lo >= 0) & (hi < n))
+        # no unordered pair of entries has two places
+        assert len(np.unique(targets[kept])) \
+            == len(np.unique(lo[kept] * n + hi[kept]))
+        # each entry sits at its upper orientation in elimination order
+        row, col = _panel_entries(plan, n, targets[kept])
+        assert (row <= col).all()
+        assert np.array_equal(
+            np.sort([plan.order[row], plan.order[col]], axis=0),
+            np.stack([lo[kept], hi[kept]]))
     x = np.random.default_rng(71).normal(0.0, 0.5, n)
     _, _, probs = problem.evaluate(x)
     buffer = problem.factor(x, probs).buffer
@@ -970,8 +1010,8 @@ PLAN_SCHEDULES = {**SCHEDULES, "golden": lambda variant: _golden_counts()}
                          ids=lambda v: f"{v.home_model.value}/"
                                        f"{v.try_model.value}")
 @pytest.mark.parametrize("weight, freeze, pin_first", GAUGES)
-def test_plan_slots_match_a_plain_enumeration(schedule, variant, weight,
-                                              freeze, pin_first):
+def test_plan_places_match_a_plain_enumeration(schedule, variant, weight,
+                                               freeze, pin_first):
     counts = PLAN_SCHEDULES[schedule](variant)
     problem = _Problem.from_counts(counts.teams, counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
@@ -979,23 +1019,24 @@ def test_plan_slots_match_a_plain_enumeration(schedule, variant, weight,
     plan = problem._hessian_plan()
     n, pinned = problem.n_free, problem.pinned
     border = n - len(problem.free_structural)
-    # x indices of each block's features at each pair: -1 is the pinned
-    # log, n no parameter
-    blocks = [(features.slots - pinned).T.tolist()
-              for features in problem._features()]
-    entries = {(r, r) for r in range(n)}
-    entries |= {(r, c) for r in range(n) for c in range(max(r, border), n)}
-    for per_pair in blocks:
-        for xs in per_pair:
-            for a in xs:
-                for b in xs:
-                    if 0 <= min(a, b) and max(a, b) < n:
-                        entries.add((min(a, b), max(a, b)))
-    codes = sorted(r * n + c for r, c in entries)
-    assert plan.positions.tolist() == codes
-    slot = {code: k for k, code in enumerate(codes)}
-    assert plan.prior_slots.tolist() == [
-        slot[r * (n + 1)] for r in range(problem.n_strength - pinned)]
+    bounds = plan.bounds.tolist()
+    rank = {x: r for r, x in enumerate(plan.order.tolist())}
+    block_of = [b for b in range(len(bounds) - 1)
+                for _ in range(bounds[b], bounds[b + 1])]
+
+    def place(r, c):
+        """Where the entry at ranks r <= c sits: in r's panel, at column
+        c if c lies in r's block or the next, else at border column c."""
+        b = block_of[r]
+        at, _, width = plan.panels[b]
+        lo, top = bounds[b], bounds[b + 2] if b + 2 < len(bounds) else n
+        assert c < top or c >= border
+        return at + (r - lo) * width + (c - lo if c < top
+                                        else top - lo + c - border)
+
+    blocks = _feature_x(problem)
+    assert plan.prior_places.tolist() == [
+        place(rank[x], rank[x]) for x in range(problem.n_strength - pinned)]
     for per_pair, (exps, _, targets) in zip(blocks, plan.blocks):
         k = exps.shape[1]
         feature_pairs = [(a, b) for a in range(k) for b in range(a, k)]
@@ -1003,9 +1044,11 @@ def test_plan_slots_match_a_plain_enumeration(schedule, variant, weight,
         for (a, b), row in zip(feature_pairs, rows):
             expected = []
             for xs in per_pair:
-                lo, hi = min(xs[a], xs[b]), max(xs[a], xs[b])
-                expected.append(slot[lo * n + hi] if 0 <= lo and hi < n
-                                else len(codes))
+                if 0 <= min(xs[a], xs[b]) and max(xs[a], xs[b]) < n:
+                    r, c = sorted((rank[xs[a]], rank[xs[b]]))
+                    expected.append(place(r, c))
+                else:
+                    expected.append(plan.size)
             assert row == expected
     no_parameter = any(n in xs for per_pair in blocks for xs in per_pair)
     assert no_parameter == (schedule == "golden"
@@ -1044,11 +1087,12 @@ def test_newton_step_memory_grows_with_the_played_pairs():
 
 
 def test_newton_step_memory_per_played_pair_is_small():
-    # The plan holds one entry of each mirrored Hessian pair, builds its
-    # covariance slots one feature pair at a time and numbers them by their
-    # codes' ranks among the sorted codes of the non-zero entries: about
-    # 490 bytes. A table of candidate entries to number them from takes
-    # about 590, and both entries of each pair about 1,125.
+    # The plan holds one entry of each mirrored Hessian pair and places it
+    # straight in the factor's panels, one feature pair at a time: about
+    # 502 bytes. Numbering the entries as slots first took about 491; the
+    # 11 more come from the mirror, which now lists whole square triangles
+    # (12,394 entries against 2,669 at sparse-1000). A table of candidate
+    # entries took about 590, and both entries of each pair about 1,125.
     counts = _offset_ring(2000)
     problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
                                    1.0, DEFAULT_POINTS)

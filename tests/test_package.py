@@ -65,7 +65,6 @@ ENTRY_POINTS = {
     "estimate.score": "exported; acceptance criterion 6, perfbench times it",
     "estimate._full_problem": "the problem of log_likelihood and score",
     "estimate._Problem.pack": "the parameters of log_likelihood and score",
-    "estimate._Problem.value": "the value log_likelihood reads",
     "ingest.load_matches": "exported; the README's library example",
     "ingest.MatchTable.__getitem__": "columns read as RawMatchRow rows",
     "ingest.MatchTable.__iter__": "columns read as RawMatchRow rows",
