@@ -73,7 +73,8 @@ VARIANTS = {
 }
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    """The file's UTF-8 text, less any byte-order mark at its start."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         return handle.read()
 
 

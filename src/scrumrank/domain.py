@@ -5,12 +5,13 @@ result (who won, and whether the margin was within the losing-bonus range)
 and a four-way try outcome (which sides reached the try-bonus threshold).
 League points are a function of that pair alone, so a season collapses to
 outcome counts per ordered (home, away, venue) triple, and that table is
-what the likelihood in :mod:`scrumrank.estimate` consumes, with each
-team's observed points tallied from it. ``MatchColumns`` holds a list of
-fixtures as columns, which ``outcome_counts`` classifies in one array pass.
-``OutcomeCounts`` holds the table as sorted per-pair arrays, built by
-``OutcomeCounts.tabulate`` alone, and ``team_records`` is the one per-team
-tally over it.
+what the likelihood in :mod:`scrumrank.estimate` consumes; a fit takes
+each team's observed points from it as a moment of its own problem.
+``MatchColumns`` holds a list of fixtures as columns, which
+``outcome_counts`` classifies in one array pass. ``OutcomeCounts`` holds
+the table as sorted per-pair arrays, built by ``OutcomeCounts.tabulate``
+alone, and ``team_records`` tallies each team's playing record over it,
+for the ranking tables and for the diagnosis of a failed fit.
 
 Everything here is a pure function of immutable values; no I/O.
 """
@@ -256,21 +257,6 @@ def try_points_arrays() -> tuple[np.ndarray, np.ndarray]:
     return home, away
 
 
-@dataclass(frozen=True)
-class PairCounts:
-    """Outcome frequencies for one ordered (home, away, venue) triple.
-
-    ``result.sum()`` and ``tries.sum()`` can differ: override records enter
-    the result counts only.
-    """
-
-    result: np.ndarray
-    tries: np.ndarray
-
-
-PairKey = tuple[str, str, Venue]
-
-
 @dataclass(frozen=True, eq=False)
 class OutcomeCounts:
     """Season-level outcome frequency table, one row per ordered (home,
@@ -332,13 +318,12 @@ class OutcomeCounts:
             np.bincount((row * 4 + tries)[counted],
                         minlength=seasons * n * 4).reshape(*stack, n, 4))
 
-    # no caller in the package, and the tests read the arrays; kept, with
-    # _PairView and PairCounts, only because perfbench/spans.py counts the
-    # rows through it
+    # no caller in the package; kept only because perfbench/spans.py counts
+    # the rows through it
     @property
-    def pairs(self) -> Mapping[PairKey, PairCounts]:
-        """Read-only ``{(home, away, venue): PairCounts}`` over the rows."""
-        return _PairView(self)
+    def pairs(self) -> np.ndarray:
+        """Each row's home index, away index and home-ground flag, rows x 3."""
+        return np.stack([self.home, self.away, self.home_ground], axis=1)
 
     def validate(self):
         """Raise for the first bad row, in any season of a stack:
@@ -361,38 +346,6 @@ class OutcomeCounts:
             raise ValueError("outcome counts must be non-negative")
         raise ValueError(
             f"pair {home!r} vs {away!r}: more try outcomes than matches")
-
-
-class _PairView(abc.Mapping):
-    """``OutcomeCounts.pairs``: its length is the row count, and its
-    lookups are built on first use, over read-only views of the rows."""
-
-    def __init__(self, counts: OutcomeCounts):
-        self._counts = counts
-        self._pairs: dict[PairKey, PairCounts] | None = None
-
-    def __len__(self) -> int:
-        return len(self._counts.home)
-
-    def _lookup(self) -> dict[PairKey, PairCounts]:
-        if self._pairs is None:
-            c = self._counts
-            result, tries = c.result.view(), c.tries.view()
-            result.flags.writeable = tries.flags.writeable = False
-            self._pairs = {
-                (c.teams[h], c.teams[a],
-                 Venue.HOME_GROUND if on_ground else Venue.NEUTRAL):
-                    PairCounts(r, t)
-                for h, a, on_ground, r, t in zip(
-                    c.home.tolist(), c.away.tolist(),
-                    c.home_ground.tolist(), result, tries)}
-        return self._pairs
-
-    def __getitem__(self, key: PairKey) -> PairCounts:
-        return self._lookup()[key]
-
-    def __iter__(self) -> Iterator[PairKey]:
-        return iter(self._lookup())
 
 
 def outcome_counts(matches: Iterable[MatchRecord],

@@ -83,7 +83,6 @@ from .domain import (
     DEFAULT_POINTS,
     OutcomeCounts,
     PointsSystem,
-    TeamRecord,
     json_object,
     team_records,
 )
@@ -464,29 +463,12 @@ class _Problem:
         self._plan: _HessianPlan | None = None
 
     @classmethod
-    def from_counts(cls, teams, counts: OutcomeCounts, variant, prior_weight,
+    def from_counts(cls, counts: OutcomeCounts, variant, prior_weight,
                     points, freeze=None, pin_first=False) -> "_Problem":
-        """The result and try blocks over the table's pairs, with both
-        sides indexed into ``teams``; a stack of tables gives one replicate
-        per table.
-
-        A team of the table missing from ``teams`` raises ParameterError;
-        the first one found, reading each pair's home side before its away
-        side, is named.
-        """
-        home, away = counts.home, counts.away
-        if list(teams) != counts.teams:
-            index = {team: k for k, team in enumerate(teams)}
-            position = np.array([index.get(team, -1) for team in counts.teams],
-                                dtype=np.intp)
-            sides = np.stack([home, away], axis=1).ravel()
-            missing = np.flatnonzero(position[sides] < 0)
-            if missing.size:
-                raise ParameterError(
-                    f"counts mention {counts.teams[sides[missing[0]]]!r}, "
-                    "which is not in the team list")
-            home, away = position[home], position[away]
-        return cls(teams, home, away, counts.home_ground.astype(float),
+        """The result and try blocks over the table's pairs and teams; a
+        stack of tables gives one replicate per table."""
+        return cls(counts.teams, counts.home, counts.away,
+                   counts.home_ground.astype(float),
                    [(result_block(points), _cells_by_pairs(counts.result)),
                     (try_block(variant), _cells_by_pairs(counts.tries))],
                    variant, prior_weight, freeze, pin_first)
@@ -519,9 +501,15 @@ class _Problem:
         return flat, slog
 
     def pack(self, params: Parameters) -> np.ndarray:
-        """Inverse of unpack for a full (unpinned) layout."""
+        """Inverse of unpack for a full (unpinned) layout, over the
+        problem's teams alone; the first that ``params`` lack is named."""
         if self.pinned:
             raise ParameterError("cannot pack parameters into a pinned layout")
+        missing = [t for t in self.teams
+                   if t not in getattr(params, self.layout.home)]
+        if missing:
+            raise ParameterError(f"counts mention {missing[0]!r}, which has "
+                                 "no strength in the parameters")
         parts = [math.log(getattr(params, name)[t])
                  for name in self.layout.tables for t in self.teams]
         parts += [math.log(getattr(params, name))
@@ -765,10 +753,9 @@ def _cells_by_pairs(counts: np.ndarray) -> np.ndarray:
 def _full_problem(params: Parameters, counts: OutcomeCounts,
                   prior: PriorConfig, variant: VariantConfig,
                   points: PointsSystem) -> tuple[_Problem, np.ndarray]:
+    """The unpinned problem over the table's teams, and ``params`` in it."""
     params.validate(variant)
-    teams = sorted(getattr(params, parameter_layout(variant).home))
-    problem = _Problem.from_counts(teams, counts, variant, prior.weight,
-                                   points)
+    problem = _Problem.from_counts(counts, variant, prior.weight, points)
     return problem, problem.pack(params)
 
 
@@ -776,7 +763,10 @@ def log_likelihood(params: Parameters, counts: OutcomeCounts,
                    prior: PriorConfig = PriorConfig(),
                    variant: VariantConfig = DEFAULT_VARIANT,
                    points: PointsSystem = DEFAULT_POINTS) -> float:
-    """Normalized log likelihood of the counts (plus prior) at ``params``."""
+    """Normalized log likelihood of the counts (plus prior) at ``params``,
+    over the table's teams: a team ``params`` rate but the table never
+    plays is ignored, prior terms and all, and one they lack is an error.
+    """
     problem, x = _full_problem(params, counts, prior, variant, points)
     return problem._likelihood(x)[0]
 
@@ -788,7 +778,8 @@ def score(params: Parameters, counts: OutcomeCounts,
     """Gradient of the log likelihood over the log parameters.
 
     Every component is an observed-minus-expected residual; at the maximum
-    they all vanish, which is the retrodictive criterion.
+    they all vanish, which is the retrodictive criterion. As in
+    ``log_likelihood``, only the table's teams get entries.
     """
     problem, x = _full_problem(params, counts, prior, variant, points)
     _, grad, _ = problem.evaluate(x)
@@ -869,9 +860,11 @@ def minimize(problem: _Problem, x0: np.ndarray, gtol: float,
     return NewtonResult(x, value, grad_inf, probs, nit, nfev, False, message)
 
 
-def _diagnose(records: Mapping[str, TeamRecord], prior_weight: float) -> str:
+def _diagnose(counts: OutcomeCounts, points: PointsSystem,
+              prior_weight: float) -> str:
+    """Why a fit of ``counts`` failed, read from each team's record."""
     notes = []
-    for team, record in records.items():
+    for team, record in team_records(counts, points).items():
         won, drawn, lost = record.won, record.drawn, record.lost
         if won > 0 and drawn == 0 and lost == 0:
             notes.append(f"team {team!r} is undefeated, so its strength "
@@ -890,7 +883,12 @@ def _diagnose(records: Mapping[str, TeamRecord], prior_weight: float) -> str:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Fit diagnostics: iteration count, residual norm, points recovery."""
+    """Fit diagnostics: iteration count, residual norm, points recovery.
+
+    Both points totals are the fit problem's first moments over its
+    strength tables, of the observed and of the expected counts, plus the
+    prior's: league points and ``w`` per strength table, observed.
+    """
 
     iterations: int
     final_gradient_norm: float
@@ -994,10 +992,9 @@ def _fit_problem(counts: OutcomeCounts, config: FitConfig) -> _Problem:
     # with no prior the likelihood is scale-invariant and one strength must
     # be pinned, unless a frozen scale-absorbing parameter already fixed it
     pin = w == 0.0 and not _gauge_broken(config.variant, config.freeze)
-    return _Problem.from_counts(
-        counts.teams, counts, config.variant, w, config.points_system,
-        freeze=config.freeze, pin_first=pin,
-    )
+    return _Problem.from_counts(counts, config.variant, w,
+                                config.points_system, freeze=config.freeze,
+                                pin_first=pin)
 
 
 def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
@@ -1014,9 +1011,8 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
                       MAX_ITERATIONS)
     nit, grad_inf = result.nit, result.grad_inf
     raw = problem.x_to_parameters(result.x)
-    records = team_records(counts, config.points_system)
     if not result.converged:
-        diagnosis = _diagnose(records, w)
+        diagnosis = _diagnose(counts, config.points_system, w)
         raise NonConvergenceError(
             f"no certified maximum after {nit} Newton steps (gradient "
             f"max-norm {grad_inf:.3g}, {result.message}); " + diagnosis,
@@ -1027,21 +1023,25 @@ def fit(counts: OutcomeCounts, config: FitConfig = FitConfig()) -> FittedModel:
     diverged = _divergence(normalized, config.variant)
     if diverged is not None:
         team, value = diverged
-        diagnosis = _diagnose(records, w)
+        diagnosis = _diagnose(counts, config.points_system, w)
         raise NonConvergenceError(
             f"strength estimates diverged (team {team!r} at {value:.3g}); "
             + diagnosis, best=normalized, diagnosis=diagnosis,
             iterations=nit, gradient_norm=grad_inf,
         )
-    # each strength table's notional prior matches earn the team w points
-    prior_points = w * len(problem.layout.strength_tables)
+    # expected_totals' moment of the observed counts, plus the w points of
+    # each strength table's notional prior matches
+    observed = problem._first_moments(
+        [obs for _, obs, _ in problem.block_data])[:problem.n_strength]
+    observed = (observed.reshape(-1, problem.m).sum(axis=0)
+                + w * len(problem.layout.strength_tables))
     expected = problem.expected_totals(result.x, result.probs)
     report = ConvergenceReport(
         iterations=nit,
         final_gradient_norm=grad_inf,
         log_likelihood=result.value,
-        observed_points={t: float(records[t].league_points + prior_points)
-                         for t in problem.teams},
+        observed_points={t: float(observed[k])
+                         for k, t in enumerate(problem.teams)},
         expected_points={t: float(expected[k])
                          for k, t in enumerate(problem.teams)},
     )

@@ -499,8 +499,8 @@ def write_audit_csv(actions: Iterable[CleaningAction]) -> str:
 
 
 def load_matches(path) -> CleanResult:
-    """Parse and clean a results CSV file."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    """Parse and clean a results CSV file, with or without a BOM."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         rows = parse_csv(handle.read())
     return clean(rows)
 

@@ -214,6 +214,27 @@ def test_fit_points_system_override(tmp_path):
     assert manifest["points_system"]["win_points"] == 3
 
 
+def test_inputs_may_start_with_a_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" starts with one
+    bom = "\ufeff".encode()
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(bom + (DATA / "golden_cleaning_raw.csv").read_bytes())
+    out, audit = tmp_path / "cleaned.csv", tmp_path / "audit.csv"
+    assert main(["clean", str(raw), str(out), str(audit)]) == 3
+    assert out.read_bytes() == (DATA / "golden_cleaning_cleaned.csv"
+                                ).read_bytes()
+    assert audit.read_bytes() == (DATA / "golden_cleaning_audit.csv"
+                                  ).read_bytes()
+    season = tmp_path / "bom_season.csv"
+    season.write_bytes(bom + (DATA / "golden_season.csv").read_bytes())
+    assert list(load_matches(season).records) \
+        == list(load_matches(DATA / "golden_season.csv").records)
+    points_path = tmp_path / "points.json"
+    points_path.write_bytes(bom + json.dumps({"win_points": 3}).encode())
+    _, model = _fit_model(tmp_path, "--points-system", str(points_path))
+    assert json.loads(model.read_text())["points_system"]["win_points"] == 3
+
+
 def test_bad_points_file_exit_two(tmp_path):
     points_path = tmp_path / "points.json"
     season = _season_path(tmp_path)

@@ -240,20 +240,24 @@ def test_outcome_counts_add_and_validate():
                 TryOutcome.ZERO_BONUS))
 
 
-def test_pairs_view_is_a_read_only_lookup_of_the_rows():
-    # the view perfbench counts the rows through
+def test_pairs_are_the_rows_keys():
+    # the keys perfbench counts the rows through
     counts = _table(
         ("A", "B", Venue.HOME_GROUND, ResultOutcome.HOME_WIDE,
          TryOutcome.HOME_BONUS),
         ("A", "B", Venue.HOME_GROUND, ResultOutcome.DRAW,
          TryOutcome.ZERO_BONUS),
         ("B", "C", Venue.NEUTRAL, ResultOutcome.AWAY_NARROW, None))
-    assert list(counts.pairs) == _row_keys(counts)
+    assert counts.pairs.tolist() == [[0, 1, 1], [1, 2, 0]]
+    assert [(counts.teams[home], counts.teams[away],
+             Venue.HOME_GROUND if on_ground else Venue.NEUTRAL)
+            for home, away, on_ground in counts.pairs] == _row_keys(counts)
     assert len(counts.pairs) == len(counts.home)
-    pair = counts.pairs[("A", "B", Venue.HOME_GROUND)]
-    assert pair.result.sum() == 2 and pair.tries.sum() == 2
-    with pytest.raises(ValueError):
-        pair.tries[0] += 1
+    pair = _row_keys(counts).index(("A", "B", Venue.HOME_GROUND))
+    assert counts.result[pair].sum() == 2 and counts.tries[pair].sum() == 2
+    # the keys are a copy: writing into them leaves the table as it was
+    counts.pairs[:] = 0
+    assert counts.pairs.tolist() == [[0, 1, 1], [1, 2, 0]]
     assert counts.tries.sum() == 2
 
 

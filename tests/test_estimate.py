@@ -189,17 +189,43 @@ def test_fit_reproduces_every_teams_points_total():
         assert abs(observed - expected) / max(1.0, observed) <= 1e-6
 
 
-def test_points_totals_include_the_prior_matches():
-    counts = outcome_counts(load_matches(DATA / "golden_season.csv").records)
-    weight = 2.0
-    model = fit(counts, FitConfig(prior=PriorConfig(weight=weight)))
-    raw_totals = outcome_counts(
-        load_matches(DATA / "golden_season.csv").records)
-    # observed totals carry the notional prior point per side
-    records = team_records(raw_totals)
+@pytest.mark.parametrize("variant", ACCEPTED_VARIANTS,
+                         ids=lambda v: f"{v.home_model.value}/"
+                                       f"{v.try_model.value}")
+@pytest.mark.parametrize("weight", [0.0, 0.7, 2.0])
+@pytest.mark.parametrize("freeze", [None, {"rho_d": 0.212}],
+                         ids=["free", "rho_d"])
+def test_points_totals_include_the_prior_matches(variant, weight, freeze):
+    counts = _golden_counts()
+    model = fit(counts, FitConfig(variant=variant,
+                                  prior=PriorConfig(weight=weight),
+                                  freeze=freeze))
+    # observed totals carry the notional prior point per side of each
+    # strength table, and are exact: integers plus w per table
+    prior_points = weight * len(parameter_layout(variant).strength_tables)
+    records = team_records(counts)
+    assert list(model.report.observed_points) == counts.teams
     for team, observed in model.report.observed_points.items():
-        assert abs(observed - (records[team].league_points + weight)) < 1e-9
+        assert observed == records[team].league_points + prior_points
         assert abs(observed - model.report.expected_points[team]) <= 1e-6
+
+
+def test_converged_fit_builds_no_team_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a converged fit built team records")
+
+    monkeypatch.setattr(estimate, "team_records", refuse)
+    for weight in (0.0, 1.0):
+        fit(_golden_counts(), FitConfig(prior=PriorConfig(weight=weight)))
+    monkeypatch.undo()
+    # a failed fit still diagnoses itself from the teams' records
+    counts = OutcomeCounts.tabulate(["Winner"], ["Loser"], [True], [0], [1])
+    fixed = {"rho_n": 0.448, "rho_d": 0.212, "tau_b": 0.042,
+             "tau_z": 2.801, "kappa": 1.113}
+    with pytest.raises(NonConvergenceError) as err:
+        fit(counts, FitConfig(prior=PriorConfig(weight=0.0), freeze=fixed))
+    assert "'Winner' is undefeated" in err.value.diagnosis
+    assert "'Loser' is winless" in err.value.diagnosis
 
 
 def test_fitted_strengths_have_unit_generalized_mean():
@@ -298,9 +324,11 @@ def test_pack_and_x_to_parameters_round_trip(variant, freeze):
     teams = ["A", "B", "C"]
     params = _random_params(np.random.default_rng(53), teams, variant)
     frozen = None if freeze is None else {freeze: getattr(params, freeze)}
-    problem = _Problem.from_counts(teams,
-                                   OutcomeCounts.tabulate([], [], [], [], []),
-                                   variant, 0.0, DEFAULT_POINTS,
+    # a table in which every team plays
+    counts = OutcomeCounts.tabulate(["A", "B"], ["B", "C"], [True, False],
+                                    [0, 2], [3, 1])
+    assert counts.teams == teams
+    problem = _Problem.from_counts(counts, variant, 0.0, DEFAULT_POINTS,
                                    freeze=frozen)
     again = problem.x_to_parameters(problem.pack(params))
     layout = parameter_layout(variant)
@@ -473,7 +501,7 @@ def _hessian_by_central_differences(problem: _Problem, x: np.ndarray,
 def test_hessian_matches_central_differences(variant, weight, freeze,
                                              pin_first):
     counts = _golden_counts()  # two of its fixtures are at neutral venues
-    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+    problem = _Problem.from_counts(counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     x = np.random.default_rng(31).normal(0.0, 0.5, problem.n_free)
@@ -499,7 +527,7 @@ def test_hessian_from_evaluated_probabilities_equals_a_fresh_one(
     counts = _golden_counts()
 
     def problem():
-        return _Problem.from_counts(counts.teams, counts, variant, weight,
+        return _Problem.from_counts(counts, variant, weight,
                                     DEFAULT_POINTS, freeze=freeze,
                                     pin_first=pin_first)
 
@@ -527,7 +555,7 @@ def test_hessian_from_evaluated_probabilities_equals_a_fresh_one(
 def test_value_equals_the_evaluated_log_likelihood(variant, weight, freeze,
                                                    pin_first):
     counts = _golden_counts()
-    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+    problem = _Problem.from_counts(counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     x = np.random.default_rng(41).normal(0.0, 0.5, problem.n_free)
@@ -597,16 +625,27 @@ def test_problem_names_the_first_team_missing_from_the_list(dropped):
     counts = _golden_counts()
     teams = counts.teams
     gone = {teams[k] for k in dropped}
-    # the pairs in the problem's order, home before away within each; the
-    # teams are sorted, so their indices sort as their names do
-    keys = sorted(zip(counts.home.tolist(), counts.away.tolist(),
-                      (~counts.home_ground).tolist()))
-    first = next(teams[k] for home, away, _ in keys for k in (home, away)
-                 if teams[k] in gone)
-    with pytest.raises(ParameterError,
-                       match=re.escape(f"counts mention {first!r}")):
-        _Problem.from_counts([t for t in teams if t not in gone], counts,
-                             DEFAULT_VARIANT, 0.0, DEFAULT_POINTS)
+    # the parameters lack these teams; the first in the table's order is named
+    first = next(team for team in teams if team in gone)
+    params = _random_params(np.random.default_rng(7),
+                            [t for t in teams if t not in gone],
+                            DEFAULT_VARIANT)
+    for call in (score, log_likelihood):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"counts mention {first!r}")):
+            call(params, counts, PriorConfig(weight=1.0))
+
+
+def test_teams_the_table_never_plays_are_ignored():
+    counts = _golden_counts()
+    prior = PriorConfig(weight=1.0)
+    params = _random_params(np.random.default_rng(11), counts.teams,
+                            DEFAULT_VARIANT)
+    wider = dataclasses.replace(
+        params, strengths={**params.strengths, "Idle": 2.5})
+    assert log_likelihood(wider, counts, prior) \
+        == log_likelihood(params, counts, prior)
+    assert score(wider, counts, prior) == score(params, counts, prior)
 
 
 def _stack_of_seasons(teams: int, fixture_repeats: int, replicates: int
@@ -655,7 +694,7 @@ def test_replicate_ascents_match_solo_ascents(stack, weight, maxiter):
     counts = stack()
 
     def problem(table):
-        return _Problem.from_counts(table.teams, table, DEFAULT_VARIANT,
+        return _Problem.from_counts(table, DEFAULT_VARIANT,
                                     weight, DEFAULT_POINTS,
                                     pin_first=weight == 0.0)
 
@@ -833,7 +872,7 @@ GAUGES = [
 def test_block_direction_equals_a_dense_solve(schedule, variant, weight,
                                               freeze, pin_first):
     counts = SCHEDULES[schedule](variant)
-    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+    problem = _Problem.from_counts(counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     assert len(problem._hessian_plan().bounds) - 1 >= 2
@@ -852,7 +891,7 @@ def test_block_direction_equals_a_dense_solve(schedule, variant, weight,
 def test_factor_solves_many_right_hand_sides(schedule, variant, weight,
                                              freeze, pin_first):
     counts = SCHEDULES[schedule](variant)
-    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+    problem = _Problem.from_counts(counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     assert len(problem._hessian_plan().bounds) - 1 >= 2
@@ -931,7 +970,7 @@ def _breadth_first_blocks(entries, n, n_border):
 def test_elimination_blocks_match_a_plain_breadth_first_search(
         schedule, variant, weight, freeze, pin_first):
     counts = SCHEDULES[schedule](variant)
-    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+    problem = _Problem.from_counts(counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     plan = problem._hessian_plan()
@@ -970,7 +1009,7 @@ def _panel_entries(plan, n: int,
 def test_plan_places_are_one_triangle_in_elimination_order(
         schedule, variant, weight, freeze, pin_first):
     counts = SCHEDULES[schedule](variant)
-    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+    problem = _Problem.from_counts(counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     plan = problem._hessian_plan()
@@ -1013,7 +1052,7 @@ PLAN_SCHEDULES = {**SCHEDULES, "golden": lambda variant: _golden_counts()}
 def test_plan_places_match_a_plain_enumeration(schedule, variant, weight,
                                                freeze, pin_first):
     counts = PLAN_SCHEDULES[schedule](variant)
-    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+    problem = _Problem.from_counts(counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     plan = problem._hessian_plan()
@@ -1072,7 +1111,7 @@ def test_newton_step_memory_grows_with_the_played_pairs():
     per_pair = []
     for teams in (500, 2000):
         counts = _offset_ring(teams)
-        problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
+        problem = _Problem.from_counts(counts, DEFAULT_VARIANT,
                                        1.0, DEFAULT_POINTS)
         x = np.zeros(problem.n_free)
         _, g, probs = problem.evaluate(x)
@@ -1094,7 +1133,7 @@ def test_newton_step_memory_per_played_pair_is_small():
     # (12,394 entries against 2,669 at sparse-1000). A table of candidate
     # entries took about 590, and both entries of each pair about 1,125.
     counts = _offset_ring(2000)
-    problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
+    problem = _Problem.from_counts(counts, DEFAULT_VARIANT,
                                    1.0, DEFAULT_POINTS)
     x = np.zeros(problem.n_free)
     _, g, probs = problem.evaluate(x)
@@ -1112,7 +1151,7 @@ def test_a_later_newton_step_allocates_no_covariance_sized_array():
     # freeing them anew at every step makes the allocator return their
     # pages to the system and fault them in again at the next step.
     counts = _offset_ring(500)
-    problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
+    problem = _Problem.from_counts(counts, DEFAULT_VARIANT,
                                    1.0, DEFAULT_POINTS)
     x = np.zeros(problem.n_free)
     _, g, probs = problem.evaluate(x)
@@ -1138,7 +1177,7 @@ def test_block_plan_partitions_and_bounds_the_hessian(schedule, variant,
                                                       weight, freeze,
                                                       pin_first):
     counts = SCHEDULES[schedule](variant)
-    problem = _Problem.from_counts(counts.teams, counts, variant, weight,
+    problem = _Problem.from_counts(counts, variant, weight,
                                    DEFAULT_POINTS, freeze=freeze,
                                    pin_first=pin_first)
     plan = problem._hessian_plan()
@@ -1172,7 +1211,7 @@ def test_block_plan_partitions_and_bounds_the_hessian(schedule, variant,
 ], ids=["golden", "double-round-robin-20"])
 def test_round_robin_plans_one_block_in_x_order(counts, weight, pin_first):
     counts = counts()
-    problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
+    problem = _Problem.from_counts(counts, DEFAULT_VARIANT,
                                    weight, DEFAULT_POINTS,
                                    pin_first=pin_first)
     plan = problem._hessian_plan()
@@ -1182,7 +1221,7 @@ def test_round_robin_plans_one_block_in_x_order(counts, weight, pin_first):
 
 def test_singular_middle_block_is_a_nonconvergence(monkeypatch):
     counts = _ring_counts(DEFAULT_VARIANT)
-    problem = _Problem.from_counts(counts.teams, counts, DEFAULT_VARIANT,
+    problem = _Problem.from_counts(counts, DEFAULT_VARIANT,
                                    1.0, DEFAULT_POINTS)
     assert len(problem._hessian_plan().bounds) - 1 >= 3
     solve = np.linalg.solve

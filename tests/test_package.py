@@ -56,11 +56,6 @@ ENTRY_POINTS = {
     "domain.MatchColumns.__iter__": "columns read as MatchRecord rows",
     "domain.MatchColumns._record": "columns read as MatchRecord rows",
     "domain.OutcomeCounts.pairs": "perfbench counts the rows through it",
-    "domain._PairView.__init__": "the view behind OutcomeCounts.pairs",
-    "domain._PairView.__len__": "the view behind OutcomeCounts.pairs",
-    "domain._PairView._lookup": "the view behind OutcomeCounts.pairs",
-    "domain._PairView.__getitem__": "the view behind OutcomeCounts.pairs",
-    "domain._PairView.__iter__": "the view behind OutcomeCounts.pairs",
     "estimate.log_likelihood": "exported; acceptance criterion 5",
     "estimate.score": "exported; acceptance criterion 6, perfbench times it",
     "estimate._full_problem": "the problem of log_likelihood and score",
